@@ -319,7 +319,7 @@ func BenchmarkQuerySemSimMC(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		u, v := pairAt(e, i)
-		e.est.Query(u, v)
+		e.est.Query(u, v, nil)
 	}
 }
 
@@ -332,13 +332,13 @@ func BenchmarkQuerySemSimPrunedSLING(b *testing.B) {
 	e := env(b)
 	for i := 0; i < 1024; i++ {
 		u, v := pairAt(e, i)
-		e.prn.Query(u, v)
+		e.prn.Query(u, v, nil)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u, v := pairAt(e, i)
-		e.prn.Query(u, v)
+		e.prn.Query(u, v, nil)
 	}
 }
 
@@ -350,13 +350,13 @@ func BenchmarkQuerySemSimPrunedSLINGMetrics(b *testing.B) {
 	e := env(b)
 	for i := 0; i < 1024; i++ {
 		u, v := pairAt(e, i)
-		e.prnM.Query(u, v)
+		e.prnM.Query(u, v, nil)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u, v := pairAt(e, i)
-		e.prnM.Query(u, v)
+		e.prnM.Query(u, v, nil)
 	}
 }
 
@@ -376,13 +376,13 @@ func BenchmarkQueryCostOff(b *testing.B) {
 	e := env(b)
 	for i := 0; i < 1024; i++ {
 		u, v := pairAt(e, i)
-		e.prn.QueryCost(u, v, nil)
+		e.prn.Query(u, v, nil)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u, v := pairAt(e, i)
-		e.prn.QueryCost(u, v, nil)
+		e.prn.Query(u, v, nil)
 	}
 }
 
@@ -391,14 +391,14 @@ func BenchmarkQueryCostOn(b *testing.B) {
 	var c obs.Cost
 	for i := 0; i < 1024; i++ {
 		u, v := pairAt(e, i)
-		e.prn.QueryCost(u, v, &c)
+		e.prn.Query(u, v, &c)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u, v := pairAt(e, i)
 		c = obs.Cost{}
-		e.prn.QueryCost(u, v, &c)
+		e.prn.Query(u, v, &c)
 	}
 }
 
@@ -408,12 +408,12 @@ func BenchmarkTopKCostOn(b *testing.B) {
 	e := env(b)
 	n := e.d.Graph.NumNodes()
 	var c obs.Cost
-	e.prn.TopKCost(0, 10, &c)
+	e.prn.TopK(0, 10, &c)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c = obs.Cost{}
-		e.prn.TopKCost(hin.NodeID(i%n), 10, &c)
+		e.prn.TopK(hin.NodeID(i%n), 10, &c)
 	}
 }
 
@@ -421,7 +421,7 @@ func BenchmarkQuerySemSimKernel(b *testing.B) {
 	e := env(b)
 	for i := 0; i < 1024; i++ {
 		u, v := pairAt(e, i)
-		if got, want := e.krn.Query(u, v), e.prn.Query(u, v); got != want {
+		if got, want := e.krn.Query(u, v, nil), e.prn.Query(u, v, nil); got != want {
 			b.Fatalf("kernel path diverged at pair %d: %v != %v", i, got, want)
 		}
 	}
@@ -429,7 +429,7 @@ func BenchmarkQuerySemSimKernel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u, v := pairAt(e, i)
-		e.krn.Query(u, v)
+		e.krn.Query(u, v, nil)
 	}
 }
 
@@ -548,7 +548,7 @@ func BenchmarkQueryCold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u, v := pairAt(e, i)
-		est.Query(u, v)
+		est.Query(u, v, nil)
 	}
 	if n := lazy.DecodeErrors(); n != 0 {
 		b.Fatalf("%d decode errors: %v", n, lazy.LastDecodeErr())
@@ -781,11 +781,11 @@ func BenchmarkAblation(b *testing.B) {
 func BenchmarkTopK10MeetIndex(b *testing.B) {
 	e := env(b)
 	meet := walk.BuildMeetIndex(e.ix)
-	e.prn.TopKWithIndex(0, 10, meet)
+	e.prn.TopKWithIndex(0, 10, meet, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u, _ := pairAt(e, i)
-		e.prn.TopKWithIndex(u, 10, meet)
+		e.prn.TopKWithIndex(u, 10, meet, nil)
 	}
 }
 
@@ -793,11 +793,11 @@ func BenchmarkTopK10MeetIndex(b *testing.B) {
 // search.
 func BenchmarkTopK10SemBounded(b *testing.B) {
 	e := env(b)
-	e.prn.TopKSemBounded(0, 10)
+	e.prn.TopKSemBounded(0, 10, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u, _ := pairAt(e, i)
-		e.prn.TopKSemBounded(u, 10)
+		e.prn.TopKSemBounded(u, 10, nil)
 	}
 }
 
@@ -806,11 +806,11 @@ func BenchmarkTopK10SemBounded(b *testing.B) {
 func BenchmarkSingleSource(b *testing.B) {
 	e := env(b)
 	meet := walk.BuildMeetIndex(e.ix)
-	e.prn.SingleSource(0, meet)
+	e.prn.SingleSource(0, meet, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		u, _ := pairAt(e, i)
-		e.prn.SingleSource(u, meet)
+		e.prn.SingleSource(u, meet, nil)
 	}
 }
 
@@ -833,10 +833,12 @@ func BenchmarkBatchQueryParallel(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mc.BatchQuery(e.ix, e.d.Lin, mc.Options{C: 0.6, Theta: 0.05,
-			Cache: mc.NewSOCache(e.d.Graph, e.d.Lin, 0.1)}, pairs, 0); err != nil {
+		est, err := mc.New(e.ix, e.d.Lin, mc.Options{C: 0.6, Theta: 0.05,
+			Cache: mc.NewSOCache(e.d.Graph, e.d.Lin, 0.1)})
+		if err != nil {
 			b.Fatal(err)
 		}
+		est.QueryBatch(pairs, 0)
 	}
 }
 

@@ -2,6 +2,8 @@
 # CI gate for the semsim repository. Three tiers, all required:
 #
 #   1. build + vet + full test suite        (functional correctness),
+#      plus the obs/mc/engine suites rerun at -cpu 1,4 so a dependence
+#      on the core count cannot hide behind the runner's CPU count,
 #      plus the observability smoke test: starts the semsim serve
 #      debug server, scrapes /metrics and asserts the core series,
 #      then lints a live /metrics scrape with cmd/promlint (the 0.0.4
@@ -40,6 +42,9 @@ go vet ./...
 
 echo "==> tier 1: tests"
 go test ./...
+
+echo "==> tier 1: core-count sweep (obs, mc, engine at -cpu 1,4)"
+go test -count=1 -cpu 1,4 ./internal/obs/... ./internal/mc/ ./internal/engine/...
 
 echo "==> tier 1: serve observability smoke test"
 go test ./cmd/semsim/ -run TestServeSmoke -count=1

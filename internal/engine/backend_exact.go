@@ -4,10 +4,6 @@ import (
 	"fmt"
 
 	"semsim/internal/core"
-	"semsim/internal/hin"
-	"semsim/internal/rank"
-	"semsim/internal/semantic"
-	"semsim/internal/simmat"
 )
 
 func init() {
@@ -25,18 +21,7 @@ const DefaultMaxExactNodes = 4096
 // exact for every pair; queries are O(1) matrix reads and top-k is one
 // row scan.
 type exactBackend struct {
-	g      *hin.Graph
-	sem    semantic.Measure
-	scores *simmat.Matrix
-}
-
-// semOf evaluates the semantic measure for an Explanation (sem(u,u)=1
-// by definition without a measure probe).
-func (b *exactBackend) semOf(u, v hin.NodeID) float64 {
-	if u == v {
-		return 1
-	}
-	return b.sem.Sim(u, v)
+	scoreTable
 }
 
 func newExactBackend(cfg Config) (Backend, error) {
@@ -54,65 +39,16 @@ func newExactBackend(cfg Config) (Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &exactBackend{g: cfg.Graph, sem: cfg.Sem, scores: res.Scores}, nil
+	return &exactBackend{
+		scoreTable{name: "exact", g: cfg.Graph, sem: cfg.Sem, at: res.Scores.At},
+	}, nil
 }
-
-func (b *exactBackend) Name() string { return "exact" }
 
 func (b *exactBackend) Caps() Capabilities {
 	return Capabilities{HasSingleSource: true, Exact: true}
 }
 
-func (b *exactBackend) Query(u, v hin.NodeID) (float64, error) {
-	if err := CheckPair(b.g, u, v); err != nil {
-		return 0, err
-	}
-	return b.scores.At(u, v), nil
-}
-
-func (b *exactBackend) TopK(u hin.NodeID, k int) ([]rank.Scored, error) {
-	if err := CheckNode(b.g, u); err != nil {
-		return nil, err
-	}
-	h := rank.NewTopK(k)
-	row := b.scores.Row(u)
-	for v, s := range row {
-		if hin.NodeID(v) == u || s <= 0 {
-			continue
-		}
-		h.Push(rank.Scored{Node: hin.NodeID(v), Score: s})
-	}
-	return h.Sorted(), nil
-}
-
-func (b *exactBackend) SingleSource(u hin.NodeID) ([]rank.Scored, error) {
-	if err := CheckNode(b.g, u); err != nil {
-		return nil, err
-	}
-	row := b.scores.Row(u)
-	out := make([]rank.Scored, 0)
-	for v, s := range row {
-		if hin.NodeID(v) == u || s <= 0 {
-			continue
-		}
-		out = append(out, rank.Scored{Node: hin.NodeID(v), Score: s})
-	}
-	return out, nil
-}
-
-func (b *exactBackend) QueryBatch(pairs [][2]hin.NodeID, workers int) ([]float64, error) {
-	if err := CheckPairs(b.g, pairs); err != nil {
-		return nil, err
-	}
-	// Matrix reads are O(1); the workers hint is ignored.
-	out := make([]float64, len(pairs))
-	for i, p := range pairs {
-		out[i] = b.scores.At(p[0], p[1])
-	}
-	return out, nil
-}
-
 func (b *exactBackend) MemoryBytes() int64 {
-	n := int64(b.scores.N())
+	n := int64(b.g.NumNodes())
 	return n * n * 8
 }

@@ -5,8 +5,7 @@ import (
 	"math"
 
 	"semsim/internal/hin"
-	"semsim/internal/rank"
-	"semsim/internal/semantic"
+	"semsim/internal/obs/quality"
 	"semsim/internal/simmat"
 )
 
@@ -56,20 +55,10 @@ const DefaultLinearResidual = 1e-9
 // asserts the two backends agree within 1e-6 on every graph it
 // generates.
 type linearBackend struct {
-	g        *hin.Graph
-	sem      semantic.Measure
-	scores   *simmat.Matrix
+	scoreTable
 	diag     []float64 // D, the estimated diagonal correction
 	sweeps   int       // Gauss-Seidel sweeps actually run
 	residual float64   // max |delta| of the final sweep
-	planner  *Planner
-}
-
-func (b *linearBackend) semOf(u, v hin.NodeID) float64 {
-	if u == v {
-		return 1
-	}
-	return b.sem.Sim(u, v)
 }
 
 func newLinearBackend(cfg Config) (Backend, error) {
@@ -140,8 +129,9 @@ func newLinearBackend(cfg Config) (Backend, error) {
 		residual = linearSweep(g, kappa, S, D)
 	}
 	return &linearBackend{
-		g: g, sem: sem, scores: S, diag: D,
-		sweeps: sweeps, residual: residual, planner: cfg.Planner,
+		// The planner records linear routing for every row scan.
+		scoreTable: scoreTable{name: "linear", g: g, sem: sem, at: S.At, planner: cfg.Planner},
+		diag:       D, sweeps: sweeps, residual: residual,
 	}, nil
 }
 
@@ -202,8 +192,6 @@ func linearSweep(g *hin.Graph, kappa []float64, S *simmat.Matrix, D []float64) f
 	return maxDelta
 }
 
-func (b *linearBackend) Name() string { return "linear" }
-
 // Caps reports the linear backend as exact: the solve runs to a 1e-9
 // residual by default, so returned scores match the fixpoint far
 // inside any tolerance a caller can observe (Sweeps/Residual expose
@@ -228,64 +216,19 @@ func (b *linearBackend) Diagonal() []float64 {
 	return out
 }
 
-func (b *linearBackend) Query(u, v hin.NodeID) (float64, error) {
-	if err := CheckPair(b.g, u, v); err != nil {
-		return 0, err
-	}
-	return b.scores.At(u, v), nil
-}
-
-func (b *linearBackend) TopK(u hin.NodeID, k int) ([]rank.Scored, error) {
-	if err := CheckNode(b.g, u); err != nil {
+// Explain adds the solve's convergence evidence to the solved score:
+// how many Gauss-Seidel sweeps ran and the residual they ended on.
+func (b *linearBackend) Explain(u, v hin.NodeID) (*quality.Explanation, error) {
+	ex, err := b.scoreTable.Explain(u, v)
+	if err != nil {
 		return nil, err
 	}
-	if b.planner != nil {
-		// Every strategy reads the same solved row; the decision is
-		// recorded so semsim_plan_total shows linear routing.
-		b.planner.TopKStrategy(k)
-	}
-	h := rank.NewTopK(k)
-	row := b.scores.Row(u)
-	for v, s := range row {
-		if hin.NodeID(v) == u || s <= 0 {
-			continue
-		}
-		h.Push(rank.Scored{Node: hin.NodeID(v), Score: s})
-	}
-	return h.Sorted(), nil
-}
-
-func (b *linearBackend) SingleSource(u hin.NodeID) ([]rank.Scored, error) {
-	if err := CheckNode(b.g, u); err != nil {
-		return nil, err
-	}
-	if b.planner != nil {
-		b.planner.SingleSourceStrategy()
-	}
-	row := b.scores.Row(u)
-	out := make([]rank.Scored, 0)
-	for v, s := range row {
-		if hin.NodeID(v) == u || s <= 0 {
-			continue
-		}
-		out = append(out, rank.Scored{Node: hin.NodeID(v), Score: s})
-	}
-	return out, nil
-}
-
-func (b *linearBackend) QueryBatch(pairs [][2]hin.NodeID, workers int) ([]float64, error) {
-	if err := CheckPairs(b.g, pairs); err != nil {
-		return nil, err
-	}
-	// Matrix reads are O(1); the workers hint is ignored.
-	out := make([]float64, len(pairs))
-	for i, p := range pairs {
-		out[i] = b.scores.At(p[0], p[1])
-	}
-	return out, nil
+	ex.SolveSweeps = b.sweeps
+	ex.SolveResidual = b.residual
+	return ex, nil
 }
 
 func (b *linearBackend) MemoryBytes() int64 {
-	n := int64(b.scores.N())
+	n := int64(len(b.diag))
 	return n*n*8 + n*8 // score matrix + diagonal correction
 }

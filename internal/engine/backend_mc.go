@@ -6,6 +6,7 @@ import (
 	"semsim/internal/hin"
 	"semsim/internal/mc"
 	"semsim/internal/obs"
+	"semsim/internal/obs/quality"
 	"semsim/internal/rank"
 	"semsim/internal/walk"
 )
@@ -59,14 +60,16 @@ func (b *mcBackend) Caps() Capabilities {
 	return Capabilities{HasSingleSource: b.meet != nil, Exact: false}
 }
 
-func (b *mcBackend) Query(u, v hin.NodeID) (float64, error) {
+func (b *mcBackend) Query(u, v hin.NodeID, co *obs.Cost) (float64, error) {
 	if err := CheckPair(b.g, u, v); err != nil {
 		return 0, err
 	}
-	return b.est.Query(u, v), nil
+	return b.est.Query(u, v, co), nil
 }
 
-func (b *mcBackend) TopK(u hin.NodeID, k int) ([]rank.Scored, error) {
+// TopK routes through the planner's strategy choice when one is
+// attached, otherwise through defaultStrategy.
+func (b *mcBackend) TopK(u hin.NodeID, k int, co *obs.Cost) ([]rank.Scored, error) {
 	if err := CheckNode(b.g, u); err != nil {
 		return nil, err
 	}
@@ -74,21 +77,7 @@ func (b *mcBackend) TopK(u hin.NodeID, k int) ([]rank.Scored, error) {
 	if b.planner != nil {
 		s = b.planner.TopKStrategy(k)
 	}
-	return b.runTopK(u, k, s), nil
-}
-
-// TopKWithStrategy implements StrategyRunner: it forces one execution
-// strategy, bypassing the planner — the seam the deprecated
-// caller-chosen public variants (TopKSemBounded, the explicit meet-index
-// path) shim onto.
-func (b *mcBackend) TopKWithStrategy(u hin.NodeID, k int, s Strategy) ([]rank.Scored, error) {
-	if err := CheckNode(b.g, u); err != nil {
-		return nil, err
-	}
-	if s >= numStrategies {
-		return nil, fmt.Errorf("engine: unknown strategy %d", s)
-	}
-	return b.runTopK(u, k, s), nil
+	return b.topK(u, k, s, co), nil
 }
 
 // defaultStrategy reproduces the pre-engine Index.TopK routing exactly:
@@ -100,58 +89,29 @@ func (b *mcBackend) defaultStrategy() Strategy {
 	return StrategyBrute
 }
 
-func (b *mcBackend) runTopK(u hin.NodeID, k int, s Strategy) []rank.Scored {
-	return b.runTopKCost(u, k, s, nil)
-}
-
-// runTopKCost is runTopK threading a cost accumulator into whichever
-// strategy executes (nil co is exactly runTopK — the estimator's costed
-// entry points are their plain twins under a nil Cost).
-func (b *mcBackend) runTopKCost(u hin.NodeID, k int, s Strategy, co *obs.Cost) []rank.Scored {
-	switch s {
-	case StrategyCollision:
-		if b.meet != nil {
-			return b.est.TopKWithIndexCost(u, k, b.meet, co)
-		}
-		// Planner misconfiguration shouldn't lose the query; the brute
-		// scan answers everything the collision path can.
-		return b.est.TopKCost(u, k, co)
-	case StrategySemBounded:
-		return b.est.TopKSemBoundedCost(u, k, co)
+// topK executes one top-k strategy, charging its work to co. Every
+// strategy returns the identical result (see TestStrategyIdentity).
+func (b *mcBackend) topK(u hin.NodeID, k int, s Strategy, co *obs.Cost) []rank.Scored {
+	switch {
+	case s == StrategyCollision && b.meet != nil:
+		return b.est.TopKWithIndex(u, k, b.meet, co)
+	case s == StrategySemBounded:
+		return b.est.TopKSemBounded(u, k, co)
 	default:
-		return b.est.TopKCost(u, k, co)
+		// The brute scan answers everything, including a collision
+		// choice on an index built without a meet index.
+		return b.est.TopK(u, k, co)
 	}
 }
 
-// QueryCost implements CostRunner: Query charging the pair's work to co.
-func (b *mcBackend) QueryCost(u, v hin.NodeID, co *obs.Cost) (float64, error) {
-	if err := CheckPair(b.g, u, v); err != nil {
-		return 0, err
-	}
-	return b.est.QueryCost(u, v, co), nil
-}
-
-// TopKCost implements CostRunner: TopK (planner-routed) charging the
-// scan's work to co.
-func (b *mcBackend) TopKCost(u hin.NodeID, k int, co *obs.Cost) ([]rank.Scored, error) {
-	if err := CheckNode(b.g, u); err != nil {
-		return nil, err
-	}
-	s := b.defaultStrategy()
-	if b.planner != nil {
-		s = b.planner.TopKStrategy(k)
-	}
-	return b.runTopKCost(u, k, s, co), nil
-}
-
-func (b *mcBackend) SingleSource(u hin.NodeID) ([]rank.Scored, error) {
+func (b *mcBackend) SingleSource(u hin.NodeID, co *obs.Cost) ([]rank.Scored, error) {
 	if err := CheckNode(b.g, u); err != nil {
 		return nil, err
 	}
 	if b.meet == nil {
 		return nil, ErrNoSingleSource
 	}
-	return b.est.SingleSource(u, b.meet), nil
+	return b.est.SingleSource(u, b.meet, co), nil
 }
 
 func (b *mcBackend) QueryBatch(pairs [][2]hin.NodeID, workers int) ([]float64, error) {
@@ -159,6 +119,15 @@ func (b *mcBackend) QueryBatch(pairs [][2]hin.NodeID, workers int) ([]float64, e
 		return nil, err
 	}
 	return b.est.QueryBatch(pairs, workers), nil
+}
+
+// Explain runs the estimator's query loop with its evidence
+// accumulator attached; Explanation.Score is bit-identical to Query.
+func (b *mcBackend) Explain(u, v hin.NodeID) (*quality.Explanation, error) {
+	if err := CheckPair(b.g, u, v); err != nil {
+		return nil, err
+	}
+	return b.est.Explain(u, v), nil
 }
 
 // MemoryBytes reports the walk index plus the attached SLING cache and

@@ -2,9 +2,8 @@ package engine
 
 import (
 	"semsim/internal/hin"
+	"semsim/internal/obs/quality"
 	"semsim/internal/pairgraph"
-	"semsim/internal/rank"
-	"semsim/internal/semantic"
 )
 
 func init() {
@@ -31,19 +30,9 @@ const reduceBuildBudget = 2e4
 // backend suits mid-sized graphs whose semantic measure separates pairs
 // well; queries are O(1) map lookups.
 type reducedBackend struct {
-	g     *hin.Graph
-	sem   semantic.Measure
+	scoreTable
 	theta float64
 	red   *pairgraph.Reduced
-}
-
-// semOf evaluates the semantic measure for an Explanation (sem(u,u)=1
-// by definition without a measure probe).
-func (b *reducedBackend) semOf(u, v hin.NodeID) float64 {
-	if u == v {
-		return 1
-	}
-	return b.sem.Sim(u, v)
 }
 
 func newReducedBackend(cfg Config) (Backend, error) {
@@ -69,65 +58,34 @@ func newReducedBackend(cfg Config) (Backend, error) {
 	if err := red.Solve(iters, tol); err != nil {
 		return nil, err
 	}
-	return &reducedBackend{g: cfg.Graph, sem: cfg.Sem, theta: theta, red: red}, nil
+	return &reducedBackend{
+		scoreTable: scoreTable{name: "reduced", g: cfg.Graph, sem: cfg.Sem, at: red.Score},
+		theta:      theta,
+		red:        red,
+	}, nil
 }
-
-func (b *reducedBackend) Name() string { return "reduced" }
 
 func (b *reducedBackend) Caps() Capabilities {
 	return Capabilities{HasSingleSource: true, Exact: true, Prunes: b.theta > 0}
 }
 
-func (b *reducedBackend) Query(u, v hin.NodeID) (float64, error) {
-	if err := CheckPair(b.g, u, v); err != nil {
-		return 0, err
-	}
-	return b.red.Score(u, v), nil
-}
-
-func (b *reducedBackend) TopK(u hin.NodeID, k int) ([]rank.Scored, error) {
-	if err := CheckNode(b.g, u); err != nil {
+// Explain reports the solved G^2_theta score. Retained pairs are exact
+// (Theorem 3.5); dropped pairs score 0 with a one-sided error bounded by
+// the retention threshold, surfaced as the pruning envelope.
+func (b *reducedBackend) Explain(u, v hin.NodeID) (*quality.Explanation, error) {
+	ex, err := b.scoreTable.Explain(u, v)
+	if err != nil {
 		return nil, err
 	}
-	h := rank.NewTopK(k)
-	for v := 0; v < b.g.NumNodes(); v++ {
-		if hin.NodeID(v) == u {
-			continue
-		}
-		if s := b.red.Score(u, hin.NodeID(v)); s > 0 {
-			h.Push(rank.Scored{Node: hin.NodeID(v), Score: s})
-		}
+	ex.Theta = b.theta
+	if ex.Score == 0 && u != v {
+		// A zero from the reduced backend cannot distinguish "truly
+		// dissimilar" from "dropped by the reduction"; either way the
+		// true score is at most min(sem, theta).
+		ex.SemSkipped = ex.Sem <= b.theta
+		ex.PruneEnvelope = min(ex.Sem, b.theta)
 	}
-	return h.Sorted(), nil
-}
-
-func (b *reducedBackend) SingleSource(u hin.NodeID) ([]rank.Scored, error) {
-	if err := CheckNode(b.g, u); err != nil {
-		return nil, err
-	}
-	out := make([]rank.Scored, 0)
-	for v := 0; v < b.g.NumNodes(); v++ {
-		if hin.NodeID(v) == u {
-			continue
-		}
-		if s := b.red.Score(u, hin.NodeID(v)); s > 0 {
-			out = append(out, rank.Scored{Node: hin.NodeID(v), Score: s})
-		}
-	}
-	return out, nil
-}
-
-func (b *reducedBackend) QueryBatch(pairs [][2]hin.NodeID, workers int) ([]float64, error) {
-	if err := CheckPairs(b.g, pairs); err != nil {
-		return nil, err
-	}
-	// Each score is an O(1) lookup; fanning out would cost more in
-	// goroutine churn than it saves, so the workers hint is ignored.
-	out := make([]float64, len(pairs))
-	for i, p := range pairs {
-		out[i] = b.red.Score(p[0], p[1])
-	}
-	return out, nil
+	return ex, nil
 }
 
 func (b *reducedBackend) MemoryBytes() int64 { return b.red.MemoryBytes() }

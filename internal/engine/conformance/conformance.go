@@ -44,6 +44,7 @@ import (
 
 	"semsim/internal/engine"
 	"semsim/internal/hin"
+	"semsim/internal/obs"
 	"semsim/internal/semantic"
 	"semsim/internal/walk"
 )
@@ -198,7 +199,7 @@ func checkInvariants(t *testing.T, b engine.Backend, g *hin.Graph, sem semantic.
 		symTol = 1e-12
 	}
 	for u := 0; u < n; u++ {
-		su, err := b.Query(hin.NodeID(u), hin.NodeID(u))
+		su, err := b.Query(hin.NodeID(u), hin.NodeID(u), nil)
 		if err != nil {
 			t.Fatalf("Query(%d,%d): %v", u, u, err)
 		}
@@ -206,14 +207,14 @@ func checkInvariants(t *testing.T, b engine.Backend, g *hin.Graph, sem semantic.
 			t.Errorf("self-similarity sim(%d,%d) = %v, want 1", u, u, su)
 		}
 		for v := u + 1; v < n; v++ {
-			s, err := b.Query(hin.NodeID(u), hin.NodeID(v))
+			s, err := b.Query(hin.NodeID(u), hin.NodeID(v), nil)
 			if err != nil {
 				t.Fatalf("Query(%d,%d): %v", u, v, err)
 			}
 			if s < 0 || s > 1 {
 				t.Errorf("sim(%d,%d) = %v outside [0,1]", u, v, s)
 			}
-			rev, err := b.Query(hin.NodeID(v), hin.NodeID(u))
+			rev, err := b.Query(hin.NodeID(v), hin.NodeID(u), nil)
 			if err != nil {
 				t.Fatalf("Query(%d,%d): %v", v, u, err)
 			}
@@ -237,11 +238,11 @@ func checkAgreement(t *testing.T, b, ref engine.Backend, g *hin.Graph, sem seman
 	pairs := 0
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			r, err := ref.Query(hin.NodeID(u), hin.NodeID(v))
+			r, err := ref.Query(hin.NodeID(u), hin.NodeID(v), nil)
 			if err != nil {
 				t.Fatalf("exact.Query(%d,%d): %v", u, v, err)
 			}
-			s, err := b.Query(hin.NodeID(u), hin.NodeID(v))
+			s, err := b.Query(hin.NodeID(u), hin.NodeID(v), nil)
 			if err != nil {
 				t.Fatalf("%s.Query(%d,%d): %v", b.Name(), u, v, err)
 			}
@@ -299,12 +300,13 @@ func checkAgreement(t *testing.T, b, ref engine.Backend, g *hin.Graph, sem seman
 }
 
 // checkShapes asserts the result-shape contracts of TopK, SingleSource
-// and QueryBatch and their mutual consistency with Query.
+// and QueryBatch, their mutual consistency with Query, and that Query
+// charges its work to a cost accumulator.
 func checkShapes(t *testing.T, b engine.Backend, g *hin.Graph) {
 	n := g.NumNodes()
 	for _, u := range []hin.NodeID{0, hin.NodeID(n / 2), hin.NodeID(n - 1)} {
 		for _, k := range []int{1, 5, n + 10} {
-			top, err := b.TopK(u, k)
+			top, err := b.TopK(u, k, nil)
 			if err != nil {
 				t.Fatalf("TopK(%d,%d): %v", u, k, err)
 			}
@@ -324,7 +326,7 @@ func checkShapes(t *testing.T, b engine.Backend, g *hin.Graph) {
 						t.Errorf("TopK(%d,%d) not ordered at %d: %+v after %+v", u, k, i, sc, prev)
 					}
 				}
-				if q, _ := b.Query(u, sc.Node); q != sc.Score {
+				if q, _ := b.Query(u, sc.Node, nil); q != sc.Score {
 					t.Errorf("TopK(%d,%d)[%d] score %v != Query %v", u, k, i, sc.Score, q)
 				}
 			}
@@ -332,7 +334,7 @@ func checkShapes(t *testing.T, b engine.Backend, g *hin.Graph) {
 		if !b.Caps().HasSingleSource {
 			continue
 		}
-		ss, err := b.SingleSource(u)
+		ss, err := b.SingleSource(u, nil)
 		if err != nil {
 			t.Fatalf("SingleSource(%d): %v", u, err)
 		}
@@ -344,7 +346,7 @@ func checkShapes(t *testing.T, b engine.Backend, g *hin.Graph) {
 			if sc.Score <= 0 || sc.Node == u {
 				t.Errorf("SingleSource(%d) bad entry %+v", u, sc)
 			}
-			if q, _ := b.Query(u, sc.Node); q != sc.Score {
+			if q, _ := b.Query(u, sc.Node, nil); q != sc.Score {
 				t.Errorf("SingleSource(%d) score for %d: %v != Query %v", u, sc.Node, sc.Score, q)
 			}
 			seen[sc.Node] = sc.Score
@@ -354,7 +356,7 @@ func checkShapes(t *testing.T, b engine.Backend, g *hin.Graph) {
 			if hin.NodeID(v) == u {
 				continue
 			}
-			q, _ := b.Query(u, hin.NodeID(v))
+			q, _ := b.Query(u, hin.NodeID(v), nil)
 			if _, ok := seen[hin.NodeID(v)]; q > 0 && !ok {
 				t.Errorf("SingleSource(%d) misses node %d with score %v", u, v, q)
 			}
@@ -367,10 +369,18 @@ func checkShapes(t *testing.T, b engine.Backend, g *hin.Graph) {
 		t.Fatalf("QueryBatch: %v", err)
 	}
 	for i, p := range batch {
-		want, _ := b.Query(p[0], p[1])
+		want, _ := b.Query(p[0], p[1], nil)
 		if got[i] != want {
 			t.Errorf("QueryBatch[%d] = %v, Query = %v", i, got[i], want)
 		}
+	}
+	// Every backend charges its work: a costed Query reads a pair.
+	var co obs.Cost
+	if _, err := b.Query(0, 1, &co); err != nil {
+		t.Fatalf("costed Query(0,1): %v", err)
+	}
+	if co.Pairs == 0 {
+		t.Errorf("%s: costed Query(0,1) charged no pairs: %+v", b.Name(), co)
 	}
 }
 
@@ -379,16 +389,16 @@ func checkShapes(t *testing.T, b engine.Backend, g *hin.Graph) {
 func checkBounds(t *testing.T, b engine.Backend, g *hin.Graph) {
 	bad := []hin.NodeID{-1, hin.NodeID(g.NumNodes()), 1 << 30}
 	for _, u := range bad {
-		if _, err := b.Query(u, 0); !errors.Is(err, engine.ErrNodeOutOfRange) {
+		if _, err := b.Query(u, 0, nil); !errors.Is(err, engine.ErrNodeOutOfRange) {
 			t.Errorf("Query(%d,0) err = %v, want ErrNodeOutOfRange", u, err)
 		}
-		if _, err := b.Query(0, u); !errors.Is(err, engine.ErrNodeOutOfRange) {
+		if _, err := b.Query(0, u, nil); !errors.Is(err, engine.ErrNodeOutOfRange) {
 			t.Errorf("Query(0,%d) err = %v, want ErrNodeOutOfRange", u, err)
 		}
-		if _, err := b.TopK(u, 3); !errors.Is(err, engine.ErrNodeOutOfRange) {
+		if _, err := b.TopK(u, 3, nil); !errors.Is(err, engine.ErrNodeOutOfRange) {
 			t.Errorf("TopK(%d) err = %v, want ErrNodeOutOfRange", u, err)
 		}
-		if _, err := b.SingleSource(u); err == nil {
+		if _, err := b.SingleSource(u, nil); err == nil {
 			t.Errorf("SingleSource(%d) accepted an out-of-range id", u)
 		}
 		if _, err := b.QueryBatch([][2]hin.NodeID{{0, 1}, {u, 2}}, 0); !errors.Is(err, engine.ErrNodeOutOfRange) {
@@ -398,7 +408,7 @@ func checkBounds(t *testing.T, b engine.Backend, g *hin.Graph) {
 		}
 	}
 	// Valid ids keep working after the rejections.
-	if _, err := b.Query(0, 1); err != nil {
+	if _, err := b.Query(0, 1, nil); err != nil {
 		t.Errorf("Query(0,1) after rejections: %v", err)
 	}
 }
@@ -408,7 +418,7 @@ func checkBounds(t *testing.T, b engine.Backend, g *hin.Graph) {
 // without a meet index, where a sampling backend loses single-source.
 func checkCaps(t *testing.T, backend string, cfg engine.Config) {
 	b := mustNew(t, backend, cfg)
-	if _, err := b.SingleSource(0); b.Caps().HasSingleSource != (err == nil) {
+	if _, err := b.SingleSource(0, nil); b.Caps().HasSingleSource != (err == nil) {
 		t.Errorf("%s: HasSingleSource=%v but SingleSource err = %v",
 			backend, b.Caps().HasSingleSource, err)
 	}
@@ -416,7 +426,7 @@ func checkCaps(t *testing.T, backend string, cfg engine.Config) {
 	noMeet.Meet = nil
 	b2 := mustNew(t, backend, noMeet)
 	if !b2.Caps().HasSingleSource {
-		if _, err := b2.SingleSource(0); !errors.Is(err, engine.ErrNoSingleSource) {
+		if _, err := b2.SingleSource(0, nil); !errors.Is(err, engine.ErrNoSingleSource) {
 			t.Errorf("%s without meet index: SingleSource err = %v, want ErrNoSingleSource",
 				backend, err)
 		}
@@ -433,8 +443,8 @@ func checkDeterminism(t *testing.T, backend string, cfg engine.Config, g *hin.Gr
 	n := g.NumNodes()
 	for u := 0; u < n; u++ {
 		for v := u; v < n; v++ {
-			s1, err1 := b1.Query(hin.NodeID(u), hin.NodeID(v))
-			s2, err2 := b2.Query(hin.NodeID(u), hin.NodeID(v))
+			s1, err1 := b1.Query(hin.NodeID(u), hin.NodeID(v), nil)
+			s2, err2 := b2.Query(hin.NodeID(u), hin.NodeID(v), nil)
 			if err1 != nil || err2 != nil {
 				t.Fatalf("Query(%d,%d): %v / %v", u, v, err1, err2)
 			}
@@ -443,8 +453,8 @@ func checkDeterminism(t *testing.T, backend string, cfg engine.Config, g *hin.Gr
 			}
 		}
 	}
-	t1, err1 := b1.TopK(0, 10)
-	t2, err2 := b2.TopK(0, 10)
+	t1, err1 := b1.TopK(0, 10, nil)
+	t2, err2 := b2.TopK(0, 10, nil)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("TopK: %v / %v", err1, err2)
 	}

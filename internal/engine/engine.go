@@ -1,5 +1,5 @@
 // Package engine is the pluggable computation layer behind the public
-// semsim.Index: a Backend interface over four ways of computing the
+// semsim.Index: one Backend interface over four ways of computing the
 // same SemSim scores — the pruned importance-sampling Monte-Carlo
 // estimator of Section 4 (backend "mc"), the materialized G^2_theta
 // reduction of Section 3 (backend "reduced", exact scores for retained
@@ -10,20 +10,28 @@
 // picks a top-k execution strategy per query from recorded graph/walk
 // statistics (planner.go).
 //
+// Every query shape has exactly one entry point on Backend: Query,
+// TopK and SingleSource take an optional *obs.Cost (nil means off),
+// QueryBatch scores many pairs, and Explain returns the score with its
+// evidence. Callers never type-assert for optional interfaces. The mc
+// backend routes TopK through the planner (or its static default);
+// exact, linear and reduced share one implementation of every shape
+// over a per-backend score lookup (scoreTable), keeping only their
+// construction, capabilities and backend-specific Explain fields.
+//
 // Backends register themselves by name in an init-time registry
 // (Register/New/Names), so future computation strategies —
 // ProbeSim-style dynamic probing, remote shards — plug in without
 // touching the public API: semsim.IndexOptions.Backend selects the
-// implementation, and every backend answers the same four query shapes
-// behind the same bounds-validated entry points.
+// implementation.
 //
 // All backends are validated against each other by the differential
 // conformance harness (internal/engine/conformance): every registered
 // backend is driven through randomized graph and taxonomy generators,
 // pairwise agreement against the exact reference with per-backend
-// tolerance bands, paper invariants, capability/bounds contracts and
-// hand-verified golden fixtures. A new backend gets the whole suite by
-// registering — conformance discovers backends through Names().
+// tolerance bands, paper invariants, capability/bounds/cost contracts
+// and hand-verified golden fixtures. A new backend gets the whole suite
+// by registering — conformance discovers backends through Names().
 package engine
 
 import (
@@ -33,10 +41,11 @@ import (
 
 	"semsim/internal/hin"
 	"semsim/internal/obs"
+	"semsim/internal/obs/quality"
 	"semsim/internal/rank"
 )
 
-// Capabilities describe what a backend can do beyond the four mandatory
+// Capabilities describe what a backend can do beyond the mandatory
 // query shapes, letting callers (and the public facade) route requests
 // without type-switching on concrete backends.
 type Capabilities struct {
@@ -56,8 +65,11 @@ type Capabilities struct {
 	Prunes bool
 }
 
-// Backend answers the four SemSim query shapes over one prepared data
-// structure. Implementations must be safe for concurrent use and must
+// Backend answers the SemSim query shapes over one prepared data
+// structure. It is the only interface a backend implements: every shape
+// has one entry point, and every entry point that scores takes a cost
+// accumulator (nil disables accounting; scores are bit-identical either
+// way). Implementations must be safe for concurrent use and must
 // validate node IDs on every entry point: a malformed ID returns an
 // error instead of indexing internal storage unchecked.
 type Backend interface {
@@ -65,40 +77,29 @@ type Backend interface {
 	Name() string
 	// Caps reports the backend's capability flags.
 	Caps() Capabilities
-	// Query estimates sim(u,v) in [0,1].
-	Query(u, v hin.NodeID) (float64, error)
+	// Query estimates sim(u,v) in [0,1], charging the work to co.
+	Query(u, v hin.NodeID, co *obs.Cost) (float64, error)
 	// TopK returns the k nodes most similar to u, descending score
-	// (ties by ascending node id), zero scores omitted.
-	TopK(u hin.NodeID, k int) ([]rank.Scored, error)
+	// (ties by ascending node id), zero scores omitted, charging the
+	// work to co.
+	TopK(u hin.NodeID, k int, co *obs.Cost) ([]rank.Scored, error)
 	// SingleSource returns sim(u,v) for every v with a nonzero
-	// estimate, ascending node order. Backends without the capability
-	// return ErrNoSingleSource.
-	SingleSource(u hin.NodeID) ([]rank.Scored, error)
+	// estimate, ascending node order, charging the work to co.
+	// Backends without the capability return ErrNoSingleSource.
+	SingleSource(u hin.NodeID, co *obs.Cost) ([]rank.Scored, error)
 	// QueryBatch evaluates many pairs, positionally aligned with the
 	// input. Every pair is bounds-checked before any scoring starts.
 	// workers <= 0 uses the backend's configured parallelism.
 	QueryBatch(pairs [][2]hin.NodeID, workers int) ([]float64, error)
+	// Explain answers Query(u, v) together with the evidence behind
+	// the score (walk samples, variance and confidence interval for
+	// sampling backends; a degenerate interval for exact ones) and the
+	// work charged to Explanation.Cost. Explanation.Score is
+	// bit-identical to Query.
+	Explain(u, v hin.NodeID) (*quality.Explanation, error)
 	// MemoryBytes reports the storage of the backend's prepared
 	// structures (the quantities of the paper's preprocessing report).
 	MemoryBytes() int64
-}
-
-// StrategyRunner is implemented by backends that can execute a specific
-// top-k strategy on demand — the seam behind the deprecated
-// caller-chosen TopK variants of the public API (TopKSemBounded, the
-// meet-index path), which are now thin shims forcing one strategy.
-type StrategyRunner interface {
-	TopKWithStrategy(u hin.NodeID, k int, s Strategy) ([]rank.Scored, error)
-}
-
-// CostRunner is implemented by backends that support per-query cost
-// accounting: the costed entry points behave exactly like Query/TopK
-// while charging the work performed to co (see obs.Cost). Callers
-// type-assert and fall back to the plain entry points — a backend
-// without accounting still answers, it just reports a zero Cost.
-type CostRunner interface {
-	QueryCost(u, v hin.NodeID, co *obs.Cost) (float64, error)
-	TopKCost(u hin.NodeID, k int, co *obs.Cost) ([]rank.Scored, error)
 }
 
 // ErrNoSingleSource is returned by backends that cannot enumerate

@@ -14,7 +14,8 @@ import (
 // internal/engine/conformance, which additionally covers golden
 // fixtures, invariants, shape and bounds contracts, and discovers
 // registered backends by name. This file keeps only the planner-side
-// identity property, which needs the package-internal StrategyRunner.
+// identity property, which drives the mc backend's unexported strategy
+// switch.
 
 // TestStrategyIdentity asserts the planner's core invariant: every top-k
 // execution strategy of the mc backend returns the identical result —
@@ -31,10 +32,7 @@ func TestStrategyIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	runner, ok := b.(StrategyRunner)
-	if !ok {
-		t.Fatal("mc backend does not implement StrategyRunner")
-	}
+	runner := b.(*mcBackend)
 
 	reg := obs.NewRegistry()
 	planned := cfg
@@ -46,21 +44,15 @@ func TestStrategyIdentity(t *testing.T) {
 
 	for u := 0; u < n; u++ {
 		for _, k := range []int{1, 5, 10} {
-			ref, err := runner.TopKWithStrategy(hin.NodeID(u), k, StrategyBrute)
-			if err != nil {
-				t.Fatalf("brute TopK: %v", err)
-			}
+			ref := runner.topK(hin.NodeID(u), k, StrategyBrute, nil)
 			for _, s := range []Strategy{StrategySemBounded, StrategyCollision} {
-				got, err := runner.TopKWithStrategy(hin.NodeID(u), k, s)
-				if err != nil {
-					t.Fatalf("%v TopK: %v", s, err)
-				}
+				got := runner.topK(hin.NodeID(u), k, s, nil)
 				if !reflect.DeepEqual(ref, got) {
 					t.Fatalf("strategy %v differs from brute at u=%d k=%d:\n%v\nvs\n%v",
 						s, u, k, got, ref)
 				}
 			}
-			adaptive, err := pb.TopK(hin.NodeID(u), k)
+			adaptive, err := pb.TopK(hin.NodeID(u), k, nil)
 			if err != nil {
 				t.Fatalf("planned TopK: %v", err)
 			}
@@ -87,10 +79,5 @@ func TestStrategyIdentity(t *testing.T) {
 	}
 	if nonzero != 1 {
 		t.Errorf("planner split identical queries across %d strategies", nonzero)
-	}
-
-	// Unknown strategies are rejected, not silently brute-forced.
-	if _, err := runner.TopKWithStrategy(0, 5, numStrategies); err == nil {
-		t.Error("TopKWithStrategy accepted an unknown strategy")
 	}
 }

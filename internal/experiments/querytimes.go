@@ -128,9 +128,9 @@ func QueryTimes(cfg QueryTimesConfig) (*QueryTimesResult, error) {
 			row.PerQuery[name] = time.Since(start) / time.Duration(len(pairs))
 		}
 		time1("SimRank-MC", srmc.Query)
-		time1("SemSim-MC", plain.Query)
-		time1("SemSim-MC+prune", pruned.Query)
-		time1("SemSim-MC+prune+SLING", sling.Query)
+		time1("SemSim-MC", func(u, v hin.NodeID) float64 { return plain.Query(u, v, nil) })
+		time1("SemSim-MC+prune", func(u, v hin.NodeID) float64 { return pruned.Query(u, v, nil) })
+		time1("SemSim-MC+prune+SLING", func(u, v hin.NodeID) float64 { return sling.Query(u, v, nil) })
 		if capture {
 			res.SLINGMemoryBytes = cache.MemoryBytes()
 			res.SLINGEntries = cache.Len()

@@ -1,11 +1,13 @@
 package mc
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"semsim/internal/hin"
+	"semsim/internal/rank"
 	"semsim/internal/walk"
 )
 
@@ -44,7 +46,7 @@ func TestConcurrentQuerySharedCache(t *testing.T) {
 		for v := u; v < n; v += 2 {
 			p := [2]hin.NodeID{hin.NodeID(u), hin.NodeID(v)}
 			pairs = append(pairs, p)
-			want = append(want, oracle.Query(p[0], p[1]))
+			want = append(want, oracle.Query(p[0], p[1], nil))
 		}
 	}
 
@@ -59,7 +61,7 @@ func TestConcurrentQuerySharedCache(t *testing.T) {
 			// offset so cache fills race on overlapping keys.
 			for i := range pairs {
 				j := (i + w*len(pairs)/goroutines) % len(pairs)
-				if got := shared.Query(pairs[j][0], pairs[j][1]); got != want[j] {
+				if got := shared.Query(pairs[j][0], pairs[j][1], nil); got != want[j] {
 					errs <- "concurrent Query diverged from serial oracle"
 					return
 				}
@@ -71,7 +73,8 @@ func TestConcurrentQuerySharedCache(t *testing.T) {
 	for e := range errs {
 		t.Fatal(e)
 	}
-	hits, misses := shared.Cache().Stats()
+	sum := shared.Cache().Summary()
+	hits, misses := sum.Hits, sum.Misses
 	if hits == 0 {
 		t.Error("shared cache recorded no hits under concurrent load")
 	}
@@ -89,8 +92,8 @@ func TestTopKParallelMatchesSerial(t *testing.T) {
 		t.Fatalf("scoringWorkers(%d) = %d, parallel path not exercised", n, got)
 	}
 	for u := 0; u < g.NumNodes(); u += 5 {
-		par := shared.TopK(hin.NodeID(u), 10)
-		ser := oracle.TopK(hin.NodeID(u), 10)
+		par := shared.TopK(hin.NodeID(u), 10, nil)
+		ser := oracle.TopK(hin.NodeID(u), 10, nil)
 		if len(par) != len(ser) {
 			t.Fatalf("u=%d: parallel returned %d results, serial %d", u, len(par), len(ser))
 		}
@@ -109,8 +112,8 @@ func TestSingleSourceParallelMatchesSerial(t *testing.T) {
 	shared, oracle, g := concurrencyEnv(t, n)
 	meet := walk.BuildMeetIndex(shared.ix)
 	for u := 0; u < g.NumNodes(); u += 7 {
-		par := shared.SingleSource(hin.NodeID(u), meet)
-		ser := oracle.SingleSource(hin.NodeID(u), meet)
+		par := shared.SingleSource(hin.NodeID(u), meet, nil)
+		ser := oracle.SingleSource(hin.NodeID(u), meet, nil)
 		if len(par) != len(ser) {
 			t.Fatalf("u=%d: parallel returned %d results, serial %d", u, len(par), len(ser))
 		}
@@ -136,15 +139,15 @@ func TestQueryBatchSharedCache(t *testing.T) {
 	}
 	got := shared.QueryBatch(pairs, 8)
 	for i, p := range pairs {
-		if want := oracle.Query(p[0], p[1]); got[i] != want {
+		if want := oracle.Query(p[0], p[1], nil); got[i] != want {
 			t.Fatalf("pair %d (%d,%d): batch %v != serial %v", i, p[0], p[1], got[i], want)
 		}
 	}
-	_, missesBefore := shared.Cache().Stats()
+	missesBefore := shared.Cache().Summary().Misses
 	if again := shared.QueryBatch(pairs, 8); len(again) != len(got) {
 		t.Fatalf("second batch returned %d results, want %d", len(again), len(got))
 	}
-	_, missesAfter := shared.Cache().Stats()
+	missesAfter := shared.Cache().Summary().Misses
 	// randomMeasure only emits scores >= 0.1, so every SO probe of the
 	// first batch was stored; an identical second batch must be served
 	// entirely from the shared cache.
@@ -172,7 +175,8 @@ func TestSOCacheConcurrent(t *testing.T) {
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
 			a, b := hin.NodeID(u), hin.NodeID(v)
-			probes = append(probes, probe{a, b, direct.SO(a, b)})
+			want, _ := direct.SO(a, b)
+			probes = append(probes, probe{a, b, want})
 		}
 	}
 
@@ -184,7 +188,7 @@ func TestSOCacheConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, p := range probes {
-				if cache.SO(p.a, p.b) != p.want {
+				if got, _ := cache.SO(p.a, p.b); got != p.want {
 					bad.Add(1)
 				}
 			}
@@ -194,7 +198,8 @@ func TestSOCacheConcurrent(t *testing.T) {
 	if bad.Load() != 0 {
 		t.Fatalf("%d concurrent SO lookups diverged from serial values", bad.Load())
 	}
-	hits, misses := cache.Stats()
+	sum := cache.Summary()
+	hits, misses := sum.Hits, sum.Misses
 	if total := hits + misses; total != int64(goroutines*len(probes)) {
 		t.Errorf("counters account for %d probes, want %d", total, goroutines*len(probes))
 	}
@@ -207,5 +212,36 @@ func TestSOCacheConcurrent(t *testing.T) {
 	}
 	if perShard != cache.Len() {
 		t.Errorf("per-shard entries sum to %d, Len reports %d", perShard, cache.Len())
+	}
+}
+
+// TestConcurrentTopKSemBounded exercises the Prop 2.5 early-exit path
+// (which shares the cache but scans serially) under contention: every
+// goroutine must reproduce the serial oracle's ranking exactly.
+func TestConcurrentTopKSemBounded(t *testing.T) {
+	const n = 48
+	shared, oracle, _ := concurrencyEnv(t, n)
+	sources := []hin.NodeID{1, 9, 27, n - 2}
+	want := make([][]rank.Scored, len(sources))
+	for i, u := range sources {
+		want[i] = oracle.TopKSemBounded(u, 8, nil)
+	}
+	var wg sync.WaitGroup
+	var bad atomic.Int64
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, u := range sources {
+				if !reflect.DeepEqual(shared.TopKSemBounded(u, 8, nil), want[i]) {
+					bad.Add(1)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if bad.Load() != 0 {
+		t.Fatalf("%d goroutines saw TopKSemBounded diverge from the serial oracle", bad.Load())
 	}
 }

@@ -4,10 +4,8 @@ import (
 	"time"
 
 	"semsim/internal/hin"
-	"semsim/internal/obs"
 	"semsim/internal/obs/quality"
 	"semsim/internal/semantic"
-	"semsim/internal/walk"
 )
 
 // Explain evaluates sim(u,v) exactly like Query while recording the
@@ -15,11 +13,12 @@ import (
 // variance and CLT confidence interval over the n_w per-walk
 // contributions, theta-pruning accounting and cache/kernel provenance.
 //
-// The contract is observe-don't-perturb: Explain walks the identical
-// meet/score loop in the identical order, so Explanation.Score is
-// bit-identical to Query(u, v) on the same index, and the shared
-// pruning counters (sem-skips, walk caps, walks coupled) advance
-// exactly as a plain query would advance them.
+// The contract is observe-don't-perturb: Explain runs Query's own
+// meet/score loop with an evidence accumulator attached, so
+// Explanation.Score is bit-identical to Query(u, v) on the same index,
+// and the shared pruning counters (sem-skips, walk caps, walks coupled)
+// advance exactly as a plain query would advance them. The work is
+// charged to Explanation.Cost.
 func (e *Estimator) Explain(u, v hin.NodeID) *quality.Explanation {
 	t0 := time.Now()
 	ex := &quality.Explanation{
@@ -31,99 +30,47 @@ func (e *Estimator) Explain(u, v hin.NodeID) *quality.Explanation {
 		SOCacheMode:  e.cacheMode(),
 		KernelMode:   e.kernelMode(),
 	}
-	e.explain(u, v, ex, &ex.Cost)
-	ex.ElapsedSeconds = time.Since(t0).Seconds()
-	e.m.explains.Inc()
-	e.m.explainLat.ObserveDuration(time.Since(t0))
-	return ex
-}
-
-// explain is the evidence-recording twin of query (mc.go). Any change
-// to query's control flow must be mirrored here — the bit-identity test
-// in explain_test.go catches divergence. co is always non-nil on the
-// Explain path (the Explanation embeds its Cost), threaded through the
-// same accounting points as query's costed mode.
-func (e *Estimator) explain(u, v hin.NodeID, ex *quality.Explanation, co *obs.Cost) {
-	if co != nil {
-		co.Pairs++
-		co.KernelProbes++
-	}
-	if u == v {
+	var ev evidence
+	ex.Score = e.query(u, v, &ex.Cost, &ev)
+	switch {
+	case u == v:
 		// sim(u,u) = 1 by definition — no sampling involved, so the
 		// interval is degenerate.
-		ex.Score, ex.Sem = 1, 1
-		ex.Mean, ex.CILow, ex.CIHigh = 1, 1, 1
-		return
-	}
-	semUV := e.sem.Sim(u, v)
-	ex.Sem = semUV
-	if e.theta > 0 && semUV <= e.theta {
+		ex.Sem, ex.Mean, ex.CILow, ex.CIHigh = 1, 1, 1, 1
+	case ev.semSkipped:
 		// Algorithm 1 lines 2-3: the whole pair is pruned. The estimate
 		// carries no sampling uncertainty (it is the constant 0); the
 		// only error is the pruning envelope, bounded by sem itself via
 		// Prop 2.5 (sim <= sem <= theta).
-		e.m.semSkips.Inc()
-		if co != nil {
-			co.SemSkips++
-		}
+		ex.Sem = ev.sem
 		ex.SemSkipped = true
-		ex.PruneEnvelope = semUV
-		return
-	}
-	nw := e.ix.NumWalks()
-	ex.NumWalks = nw
-	ex.MeetsByStep = make([]int64, e.ix.Length()+1)
-	// Mirrors query(): one pinned view per node, all walks through it.
-	vu, vv := e.ix.ViewCost(u, co), e.ix.ViewCost(v, co)
-	var total, sumSq, sumCube float64
-	var coupled, capped int64
-	for i := 0; i < nw; i++ {
-		tau, ok := walk.MeetViews(vu, vv, i)
-		if !ok {
-			continue
+		ex.PruneEnvelope = ev.sem
+	default:
+		nw := e.ix.NumWalks()
+		ex.Sem = ev.sem
+		ex.NumWalks = nw
+		ex.MeetsByStep = ev.meetsByStep
+		ex.WalksCoupled = int(ev.coupled)
+		ex.WalkCaps = int(ev.capped)
+		mean, variance, stderr, lo, hi := quality.CLT(ev.sem, nw, ev.total, ev.sumSq)
+		ex.Mean, ex.Variance, ex.StdErr = mean, variance, stderr
+		// Johnson's skewness correction recenters the interval: importance
+		// weights are right-skewed, so the symmetric CLT interval misses
+		// high more often than 1-Confidence admits (see quality.SkewShift).
+		shift := quality.SkewShift(ev.sem, nw, ev.total, ev.sumSq, ev.sumCube)
+		ex.SkewShift = shift
+		ex.CILow = quality.Clamp01(lo + shift)
+		ex.CIHigh = quality.Clamp01(hi + shift)
+		if e.theta > 0 {
+			// Prop 4.6: theta-capping introduces a one-sided additive
+			// error of at most theta on the estimate.
+			ex.PruneEnvelope = e.theta
 		}
-		coupled++
-		ex.MeetsByStep[tau]++
-		s, hitCap := e.walkScore(vu, vv, i, tau, co)
-		if hitCap {
-			capped++
-		}
-		total += s
-		sumSq += s * s
-		sumCube += s * s * s
 	}
-	e.m.walksCoupled.Add(coupled)
-	e.m.walkCaps.Add(capped)
-	if co != nil {
-		co.WalkCaps += capped
-	}
-	ex.WalksCoupled = int(coupled)
-	ex.WalkCaps = int(capped)
-
-	mean, variance, stderr, lo, hi := quality.CLT(semUV, nw, total, sumSq)
-	ex.Mean, ex.Variance, ex.StdErr = mean, variance, stderr
-	// Johnson's skewness correction recenters the interval: importance
-	// weights are right-skewed, so the symmetric CLT interval misses
-	// high more often than 1-Confidence admits (see quality.SkewShift).
-	shift := quality.SkewShift(semUV, nw, total, sumSq, sumCube)
-	ex.SkewShift = shift
-	ex.CILow = quality.Clamp01(lo + shift)
-	ex.CIHigh = quality.Clamp01(hi + shift)
-	// Identical clamp to query(): CLT computes mean as semUV*total/nw in
-	// the same floating-point order, so this reproduces Query bit for bit.
-	score := mean
-	if score < 0 {
-		score = 0
-	}
-	if score > 1 {
-		score = 1
-	}
-	ex.Score = score
-	if e.theta > 0 {
-		// Prop 4.6: theta-capping introduces a one-sided additive error
-		// of at most theta on the estimate.
-		ex.PruneEnvelope = e.theta
-	}
+	ex.ElapsedSeconds = time.Since(t0).Seconds()
+	e.m.explains.Inc()
+	e.m.explainLat.ObserveDuration(time.Since(t0))
+	return ex
 }
 
 // cacheMode reports where SO normalizations are served from: "dense"

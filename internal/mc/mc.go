@@ -122,60 +122,56 @@ func (e *Estimator) scoringWorkers(n int) int {
 }
 
 // so returns the SARW normalization for the pair (a,b), via the cache when
-// one is attached. The pair is canonicalized so that cached and direct
+// one is attached, and whether it came from cache storage (for cost
+// accounting; without a cache every probe is a full recomputation, i.e.
+// a miss). The pair is canonicalized so that cached and direct
 // computations sum in the same order (bit-identical results).
-func (e *Estimator) so(a, b hin.NodeID) float64 {
+func (e *Estimator) so(a, b hin.NodeID) (float64, bool) {
 	if a > b {
 		a, b = b, a
 	}
 	if e.cache != nil {
 		return e.cache.SO(a, b)
 	}
-	return pairgraph.SO(e.g, e.sem, a, b)
-}
-
-// soProbe is so reporting whether the normalization came from cache
-// storage, for cost accounting. Without a cache every probe is a full
-// recomputation, i.e. a miss.
-func (e *Estimator) soProbe(a, b hin.NodeID) (float64, bool) {
-	if a > b {
-		a, b = b, a
-	}
-	if e.cache != nil {
-		return e.cache.Probe(a, b)
-	}
 	return pairgraph.SO(e.g, e.sem, a, b), false
 }
 
 // Query estimates sim(u,v) with Algorithm 1. The returned score is clamped
-// into [0,1] (cf. Lemma 4.7). When metrics are enabled the call is timed
-// into semsim_query_seconds and counted in semsim_queries_total; the
-// pruning counters fire inside the scoring loop either way.
-func (e *Estimator) Query(u, v hin.NodeID) float64 {
-	return e.QueryCost(u, v, nil)
-}
-
-// QueryCost is Query additionally charging the work performed — walk
-// steps, SO-cache traffic, kernel probes, lazy block decodes — to co. A
-// nil co disables accounting; scores are bit-identical either way (the
-// costed cache probes have the same side effects and return the same
-// values as the uncosted ones).
-func (e *Estimator) QueryCost(u, v hin.NodeID, co *obs.Cost) float64 {
+// into [0,1] (cf. Lemma 4.7). A non-nil co is charged the work performed
+// — walk steps, SO-cache traffic, kernel probes, lazy block decodes; a
+// nil co disables accounting, and scores are bit-identical either way.
+// When metrics are enabled the call is timed into semsim_query_seconds
+// and counted in semsim_queries_total; the pruning counters fire inside
+// the scoring loop either way.
+func (e *Estimator) Query(u, v hin.NodeID, co *obs.Cost) float64 {
 	t0 := e.m.queryLat.Start()
-	score := e.query(u, v, co)
+	score := e.query(u, v, co, nil)
 	e.m.queryLat.ObserveSince(t0)
 	e.m.queries.Inc()
 	return score
 }
 
-// query is the uninstrumented single-pair evaluation shared by Query and
-// the top-k scan loops (which report aggregate candidate counts instead
-// of per-candidate timings). Pruning statistics are accumulated locally
-// and flushed with one atomic add per call so heavy concurrent scans
-// don't serialize on the shared counters. co, when non-nil, receives the
-// pair's cost accounting (plain field bumps, never shared across
-// goroutines — parallel scans give each worker a local Cost and merge).
-func (e *Estimator) query(u, v hin.NodeID, co *obs.Cost) float64 {
+// evidence accumulates what Explain reports beyond the score: sem(u,v),
+// the per-walk sums behind the CLT interval and the histogram of
+// first-meeting offsets. The plain query path passes nil.
+type evidence struct {
+	sem                   float64
+	semSkipped            bool
+	meetsByStep           []int64
+	total, sumSq, sumCube float64
+	coupled, capped       int64
+}
+
+// query is the uninstrumented single-pair evaluation shared by Query,
+// Explain and the top-k scan loops (which report aggregate candidate
+// counts instead of per-candidate timings). Pruning statistics are
+// accumulated locally and flushed with one atomic add per call so heavy
+// concurrent scans don't serialize on the shared counters. co, when
+// non-nil, receives the pair's cost accounting (plain field bumps, never
+// shared across goroutines — parallel scans give each worker a local
+// Cost and merge). ev, when non-nil, records Explain's evidence without
+// changing the score.
+func (e *Estimator) query(u, v hin.NodeID, co *obs.Cost, ev *evidence) float64 {
 	if co != nil {
 		co.Pairs++
 		co.KernelProbes++ // the sem(u,v) gate probe below
@@ -183,15 +179,17 @@ func (e *Estimator) query(u, v hin.NodeID, co *obs.Cost) float64 {
 	if u == v {
 		return 1
 	}
-	semUV := e.sem.Sim(u, v)
-	if e.theta > 0 && semUV <= e.theta {
-		e.m.semSkips.Inc()
-		if co != nil {
-			co.SemSkips++
-		}
-		return 0 // lines 2-3 of Algorithm 1
+	semUV, ok := e.semGate(u, v, co)
+	if ev != nil {
+		ev.sem, ev.semSkipped = semUV, !ok
+	}
+	if !ok {
+		return 0
 	}
 	nw := e.ix.NumWalks()
+	if ev != nil {
+		ev.meetsByStep = make([]int64, e.ix.Length()+1)
+	}
 	// One view fetch per node pins both walk blocks for the whole query:
 	// in resident mode this compiles to the same slab indexing as
 	// before; in lazy mode it is two cache probes instead of 2*n_w.
@@ -209,11 +207,19 @@ func (e *Estimator) query(u, v hin.NodeID, co *obs.Cost) float64 {
 			capped++
 		}
 		total += s
+		if ev != nil {
+			ev.meetsByStep[tau]++
+			ev.sumSq += s * s
+			ev.sumCube += s * s * s
+		}
 	}
 	e.m.walksCoupled.Add(coupled)
 	e.m.walkCaps.Add(capped)
 	if co != nil {
 		co.WalkCaps += capped
+	}
+	if ev != nil {
+		ev.total, ev.coupled, ev.capped = total, coupled, capped
 	}
 	score := semUV * total / float64(nw)
 	if score < 0 {
@@ -223,6 +229,20 @@ func (e *Estimator) query(u, v hin.NodeID, co *obs.Cost) float64 {
 		return 1
 	}
 	return score
+}
+
+// semGate is lines 1-3 of Algorithm 1: it probes sem(u,v) and reports
+// whether the pair survives theta pruning, counting a skip otherwise.
+func (e *Estimator) semGate(u, v hin.NodeID, co *obs.Cost) (float64, bool) {
+	semUV := e.sem.Sim(u, v)
+	if e.theta > 0 && semUV <= e.theta {
+		e.m.semSkips.Inc()
+		if co != nil {
+			co.SemSkips++
+		}
+		return semUV, false
+	}
+	return semUV, true
 }
 
 // QueryBatch evaluates many single-pair queries on this estimator,
@@ -248,7 +268,7 @@ func (e *Estimator) QueryBatchInto(dst []float64, pairs [][2]hin.NodeID, workers
 	out := dst
 	if workers <= 1 {
 		for i, p := range pairs {
-			out[i] = e.Query(p[0], p[1])
+			out[i] = e.Query(p[0], p[1], nil)
 		}
 		e.finishBatch(t0, len(pairs))
 		return out
@@ -270,7 +290,7 @@ func (e *Estimator) QueryBatchInto(dst []float64, pairs [][2]hin.NodeID, workers
 			e.m.poolActive.Add(1)
 			defer e.m.poolActive.Add(-1)
 			for i := lo; i < hi; i++ {
-				out[i] = e.Query(pairs[i][0], pairs[i][1])
+				out[i] = e.Query(pairs[i][0], pairs[i][1], nil)
 			}
 		}(lo, hi)
 	}
@@ -293,7 +313,7 @@ func (e *Estimator) finishBatch(t0 time.Time, pairs int) {
 // read through the caller's pinned views so one block probe covers all
 // n_w walks of a lazy index. A non-nil co charges each step's work (the
 // step itself, the SO probe by outcome, the sem kernel probe); the nil
-// path takes one predictable branch per step and calls the plain so.
+// path takes one predictable branch per step.
 func (e *Estimator) walkScore(vu, vv walk.NodeView, i, tau int, co *obs.Cost) (score float64, capped bool) {
 	wu := vu.Walk(i)
 	wv := vv.Walk(i)
@@ -302,14 +322,10 @@ func (e *Estimator) walkScore(vu, vv walk.NodeView, i, tau int, co *obs.Cost) (s
 		cu, cv := hin.NodeID(wu[s]), hin.NodeID(wv[s])
 		nu, nv := hin.NodeID(wu[s+1]), hin.NodeID(wv[s+1])
 
-		var so float64
-		if co == nil {
-			so = e.so(cu, cv)
-		} else {
+		so, hit := e.so(cu, cv)
+		if co != nil {
 			co.WalkSteps++
 			co.KernelProbes++ // the sem(nu,nv) probe in pStep below
-			var hit bool
-			so, hit = e.soProbe(cu, cv)
 			if hit {
 				co.SOHits++
 			} else {
@@ -342,15 +358,11 @@ func (e *Estimator) walkScore(vu, vv walk.NodeView, i, tau int, co *obs.Cost) (s
 // score order, omitting zero scores — the paper's top-k similarity search
 // workload. Candidates are scored in parallel across the worker pool;
 // results are identical to a serial scan (rank.TopK's total order makes
-// the selection independent of scoring order).
-func (e *Estimator) TopK(u hin.NodeID, k int) []rank.Scored {
-	return e.TopKCost(u, k, nil)
-}
-
-// TopKCost is TopK charging the scan's work to co (nil co is exactly
-// TopK). Parallel workers accumulate into worker-local Costs merged
-// after the join, so the accounting adds no cross-goroutine traffic.
-func (e *Estimator) TopKCost(u hin.NodeID, k int, co *obs.Cost) []rank.Scored {
+// the selection independent of scoring order). A non-nil co is charged
+// the scan's work: parallel workers accumulate into worker-local Costs
+// merged after the join, so the accounting adds no cross-goroutine
+// traffic.
+func (e *Estimator) TopK(u hin.NodeID, k int, co *obs.Cost) []rank.Scored {
 	t0 := e.m.topkLat.Start()
 	n := e.g.NumNodes()
 	workers := e.scoringWorkers(n)
@@ -360,7 +372,7 @@ func (e *Estimator) TopKCost(u hin.NodeID, k int, co *obs.Cost) []rank.Scored {
 			if hin.NodeID(v) == u {
 				continue
 			}
-			if s := e.query(u, hin.NodeID(v), co); s > 0 {
+			if s := e.query(u, hin.NodeID(v), co, nil); s > 0 {
 				h.Push(rank.Scored{Node: hin.NodeID(v), Score: s})
 			}
 		}
@@ -397,7 +409,7 @@ func (e *Estimator) TopKCost(u hin.NodeID, k int, co *obs.Cost) []rank.Scored {
 				if hin.NodeID(v) == u {
 					continue
 				}
-				if s := e.query(u, hin.NodeID(v), wco); s > 0 {
+				if s := e.query(u, hin.NodeID(v), wco, nil); s > 0 {
 					h.Push(rank.Scored{Node: hin.NodeID(v), Score: s})
 				}
 			}
@@ -437,15 +449,10 @@ func (e *Estimator) finishTopK(t0 time.Time, candidates int) {
 // k-th score beats the next candidate's semantic bound — no later
 // candidate can displace anything. Results are identical to TopK; only
 // the number of walk-coupling evaluations shrinks. The early-terminated
-// scan is inherently sequential, so this path does not use the pool.
-func (e *Estimator) TopKSemBounded(u hin.NodeID, k int) []rank.Scored {
-	return e.TopKSemBoundedCost(u, k, nil)
-}
-
-// TopKSemBoundedCost is TopKSemBounded charging the scan's work —
-// including the n-1 semantic bound probes of the candidate sort — to co
-// (nil co is exactly TopKSemBounded).
-func (e *Estimator) TopKSemBoundedCost(u hin.NodeID, k int, co *obs.Cost) []rank.Scored {
+// scan is inherently sequential, so this path does not use the pool. A
+// non-nil co is charged the scan's work, including the n-1 semantic
+// bound probes of the candidate sort.
+func (e *Estimator) TopKSemBounded(u hin.NodeID, k int, co *obs.Cost) []rank.Scored {
 	t0 := e.m.topkLat.Start()
 	n := e.g.NumNodes()
 	type cand struct {
@@ -478,7 +485,7 @@ func (e *Estimator) TopKSemBoundedCost(u hin.NodeID, k int, co *obs.Cost) []rank
 				break // Prop 2.5: sim <= sem < current k-th best
 			}
 		}
-		if s := e.query(u, c.node, co); s > 0 {
+		if s := e.query(u, c.node, co, nil); s > 0 {
 			h.Push(rank.Scored{Node: c.node, Score: s})
 		}
 	}

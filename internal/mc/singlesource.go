@@ -37,16 +37,12 @@ var ssScratchPool = sync.Pool{New: func() any { return new(ssScratch) }}
 // Query(u, v) per candidate (the meeting detection is the same; only the
 // enumeration changes). Candidate groups are scored in parallel across
 // the worker pool; the output order and values match the serial scan.
-func (e *Estimator) SingleSource(u hin.NodeID, meet *walk.MeetIndex) []rank.Scored {
-	return e.SingleSourceCost(u, meet, nil)
-}
-
-// SingleSourceCost is SingleSource charging the sweep's work to co (nil
-// co is exactly SingleSource): the meet-index cells scanned, plus each
-// group's walk scoring through the same per-step accounting as
-// QueryCost. Parallel workers accumulate into pooled worker-local Costs
-// merged after the join.
-func (e *Estimator) SingleSourceCost(u hin.NodeID, meet *walk.MeetIndex, co *obs.Cost) []rank.Scored {
+//
+// A non-nil co is charged the sweep's work: the meet-index cells
+// scanned, plus each group's walk scoring through the same per-step
+// accounting as Query. Parallel workers accumulate into pooled
+// worker-local Costs merged after the join.
+func (e *Estimator) SingleSource(u hin.NodeID, meet *walk.MeetIndex, co *obs.Cost) []rank.Scored {
 	t0 := e.m.singleLat.Start()
 	sc := ssScratchPool.Get().(*ssScratch)
 	defer ssScratchPool.Put(sc)
@@ -78,12 +74,8 @@ func (e *Estimator) SingleSourceCost(u hin.NodeID, meet *walk.MeetIndex, co *obs
 			gco.Pairs++
 			gco.KernelProbes++
 		}
-		semUV := e.sem.Sim(u, g.other)
-		if e.theta > 0 && semUV <= e.theta {
-			e.m.semSkips.Inc()
-			if gco != nil {
-				gco.SemSkips++
-			}
+		semUV, ok := e.semGate(u, g.other, gco)
+		if !ok {
 			return 0
 		}
 		vo := e.ix.ViewCost(g.other, gco)
@@ -184,17 +176,11 @@ func (e *Estimator) finishSingleSource(t0 time.Time, groups int) {
 // TopKWithIndex is TopK over the single-source enumeration: only nodes
 // whose walks actually meet u's are scored. It counts as both a
 // single-source sweep (the inner enumeration) and a top-k search in the
-// metrics.
-func (e *Estimator) TopKWithIndex(u hin.NodeID, k int, meet *walk.MeetIndex) []rank.Scored {
-	return e.TopKWithIndexCost(u, k, meet, nil)
-}
-
-// TopKWithIndexCost is TopKWithIndex charging the inner single-source
-// sweep's work to co (nil co is exactly TopKWithIndex).
-func (e *Estimator) TopKWithIndexCost(u hin.NodeID, k int, meet *walk.MeetIndex, co *obs.Cost) []rank.Scored {
+// metrics. A non-nil co is charged the inner single-source sweep's work.
+func (e *Estimator) TopKWithIndex(u hin.NodeID, k int, meet *walk.MeetIndex, co *obs.Cost) []rank.Scored {
 	t0 := e.m.topkLat.Start()
 	h := rank.NewTopK(k)
-	for _, s := range e.SingleSourceCost(u, meet, co) {
+	for _, s := range e.SingleSource(u, meet, co) {
 		if s.Node != u {
 			h.Push(s)
 		}

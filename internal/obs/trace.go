@@ -17,15 +17,22 @@ import (
 //
 // A Trace is cheap (one slice append per span, mutex-guarded so
 // concurrent phases may record into one trace) but is not meant for
-// per-walk-step granularity; spans are phase-level. A nil *Trace
+// per-walk-step granularity; spans are phase-level. It keeps at most
+// MaxSpansPerTrace spans and counts the rest as dropped, so a trace
+// that outlives its operation cannot grow without bound. A nil *Trace
 // ignores all calls, so APIs can take an optional trace without
 // branching at call sites.
 type Trace struct {
-	name string
-	t0   time.Time
-	mu   sync.Mutex
-	rec  []SpanRecord
+	name    string
+	t0      time.Time
+	mu      sync.Mutex
+	rec     []SpanRecord
+	dropped int
 }
+
+// MaxSpansPerTrace caps the spans one Trace records. Spans ended past
+// the cap are counted in TraceRecord.DroppedSpans instead of stored.
+const MaxSpansPerTrace = 256
 
 // SpanRecord is one finished span: Start is the offset from the trace's
 // creation, Duration its measured length.
@@ -72,7 +79,11 @@ func (s Span) End() {
 	now := time.Now()
 	rec := SpanRecord{Name: s.n, Start: s.t0.Sub(s.tr.t0), Duration: now.Sub(s.t0)}
 	s.tr.mu.Lock()
-	s.tr.rec = append(s.tr.rec, rec)
+	if len(s.tr.rec) < MaxSpansPerTrace {
+		s.tr.rec = append(s.tr.rec, rec)
+	} else {
+		s.tr.dropped++
+	}
 	s.tr.mu.Unlock()
 }
 
@@ -89,26 +100,37 @@ func (t *Trace) Spans() []SpanRecord {
 	if t == nil {
 		return nil
 	}
+	spans, _ := t.snapshot()
+	return spans
+}
+
+// snapshot copies the recorded spans, sorted by start offset, together
+// with the dropped-span count read under the same lock.
+func (t *Trace) snapshot() ([]SpanRecord, int) {
 	t.mu.Lock()
 	out := make([]SpanRecord, len(t.rec))
 	copy(out, t.rec)
+	dropped := t.dropped
 	t.mu.Unlock()
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
+	return out, dropped
 }
 
-// Export freezes the trace into its wire form: name, elapsed total and
-// the recorded spans, ready for json.Marshal or a TraceLog. Wall-clock
-// and request identity are the caller's to stamp (serve knows the
-// request ID; the trace does not). Returns the zero record on nil.
+// Export freezes the trace into its wire form: name, elapsed total, the
+// recorded spans and the count of spans dropped past MaxSpansPerTrace,
+// ready for json.Marshal or a TraceLog. Wall-clock and request identity
+// are the caller's to stamp (serve knows the request ID; the trace does
+// not). Returns the zero record on nil.
 func (t *Trace) Export() TraceRecord {
 	if t == nil {
 		return TraceRecord{}
 	}
+	spans, dropped := t.snapshot()
 	return TraceRecord{
-		Name:  t.name,
-		Total: t.Total(),
-		Spans: t.Spans(),
+		Name:         t.name,
+		Total:        t.Total(),
+		Spans:        spans,
+		DroppedSpans: dropped,
 	}
 }
 

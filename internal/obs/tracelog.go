@@ -27,6 +27,9 @@ type TraceRecord struct {
 	Name      string        `json:"name"`
 	Total     time.Duration `json:"total_ns"`
 	Spans     []SpanRecord  `json:"spans"`
+	// DroppedSpans counts spans ended after the trace reached
+	// MaxSpansPerTrace; they are not in Spans.
+	DroppedSpans int `json:"dropped_spans,omitempty"`
 }
 
 // TraceLog appends TraceRecords to a writer as NDJSON, one record per

@@ -226,3 +226,19 @@ func TestTraceConcurrentRecordDuringExport(t *testing.T) {
 		t.Fatal("no trace log output")
 	}
 }
+
+// TestTraceSpanCap: spans past MaxSpansPerTrace are counted, not stored,
+// so a long-lived trace stays bounded.
+func TestTraceSpanCap(t *testing.T) {
+	tr := NewTrace("cap")
+	for i := 0; i < MaxSpansPerTrace+10; i++ {
+		tr.Start("s").End()
+	}
+	rec := tr.Export()
+	if len(rec.Spans) != MaxSpansPerTrace {
+		t.Errorf("kept %d spans, want %d", len(rec.Spans), MaxSpansPerTrace)
+	}
+	if rec.DroppedSpans != 10 {
+		t.Errorf("DroppedSpans = %d, want 10", rec.DroppedSpans)
+	}
+}

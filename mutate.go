@@ -153,6 +153,10 @@ func (m *Mutator) Commit() (CommitStats, error) {
 		return CommitStats{}, ErrStaleMutator
 	}
 	opts := ix.opts
+	// IndexOptions.Trace belongs to the build; a commit recording into
+	// it would grow that trace for the life of the index. Commit timings
+	// go to the semsim_commit_* histograms instead.
+	opts.Trace = nil
 	commitLat := ix.metrics.Histogram("semsim_commit_seconds",
 		"wall time of one Mutator.Commit: incremental walk/cache/kernel repair plus snapshot assembly", nil)
 	t0 := commitLat.Start()

@@ -524,3 +524,33 @@ func TestMutatorValidation(t *testing.T) {
 		}
 	})
 }
+
+// TestCommitLeavesBuildTraceAlone: commits run untraced, so the trace
+// handed to BuildIndex keeps exactly the build's spans however many
+// commits follow.
+func TestCommitLeavesBuildTraceAlone(t *testing.T) {
+	d, err := datagen.Amazon(datagen.AmazonConfig{Items: 20, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := semsim.NewTrace("build")
+	idx, err := semsim.BuildIndex(d.Graph, d.Lin, semsim.IndexOptions{
+		NumWalks: 8, WalkLength: 4, Seed: 3, MeetIndex: true,
+		ShadowRate: 1, Trace: tr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	built := len(tr.Spans())
+	for i := 0; i < 3; i++ {
+		m := idx.NewMutator()
+		m.AddEdge(semsim.NodeID(i), semsim.NodeID(i+1), "co-purchase", 1)
+		if _, err := m.Commit(); err != nil {
+			t.Fatalf("Commit %d: %v", i, err)
+		}
+	}
+	if got := len(tr.Spans()); got != built {
+		t.Errorf("build trace grew from %d to %d spans across 3 commits", built, got)
+	}
+}

@@ -183,7 +183,7 @@ func Backends() []string { return engine.Names() }
 // adaptive planner (IndexOptions.AutoPlan).
 //
 // An Index is safe for concurrent use: any number of goroutines may call
-// Query, TopK, TopKSemBounded, SingleSource, BatchQuery and SimRankQuery
+// Query, TopK, SingleSource, BatchQuery, ExplainQuery and SimRankQuery
 // on a shared Index, including when the SLING cache is enabled (the
 // cache is sharded with striped locks). The parallel results are
 // identical to serial ones.
@@ -444,7 +444,7 @@ func (snap *snapshot) buildShadowRef(opts IndexOptions) error {
 	if !ref.Caps().Exact {
 		return fmt.Errorf("semsim: shadow backend %q is not exact-capable; drift against a sampling reference would measure its noise, not ours", name)
 	}
-	snap.refScore = ref.Query
+	snap.refScore = func(u, v NodeID) (float64, error) { return ref.Query(u, v, nil) }
 	return nil
 }
 
@@ -497,34 +497,22 @@ func (ix *Index) KernelMode() string {
 // Query estimates the SemSim score of (u,v) in [0,1] via the selected
 // backend. Node IDs are bounds-checked: an id outside the graph scores
 // 0 instead of indexing walk storage unchecked.
-func (ix *Index) Query(u, v NodeID) float64 {
+func (ix *Index) Query(u, v NodeID) float64 { return ix.QueryCost(u, v, nil) }
+
+// QueryCost is Query additionally charging the work performed to co
+// (see Cost): on the mc backend walk steps scanned, SO-cache
+// hits/misses, kernel probes and lazy walk-block decodes; on the exact,
+// linear and reduced backends one pair per score read. Scores are
+// bit-identical to Query, and a nil co disables the accounting.
+func (ix *Index) QueryCost(u, v NodeID, co *Cost) float64 {
 	s := ix.snap.Load()
-	score, err := s.eng.Query(u, v)
+	score, err := s.eng.Query(u, v, co)
 	if err != nil {
 		return 0
 	}
 	// The sample carries this epoch's reference scorer, so a commit
 	// racing with the verification can't compare estimates against a
 	// different graph's truth.
-	ix.shadow.OfferWith(u, v, score, s.refScore)
-	return score
-}
-
-// QueryCost is Query additionally charging the work performed — walk
-// steps scanned, SO-cache hits/misses, kernel probes, lazy walk-block
-// decodes — to co (see Cost). Scores are bit-identical to Query, and a
-// nil co disables the accounting. On a backend without cost support the
-// query is answered plain and co stays untouched.
-func (ix *Index) QueryCost(u, v NodeID, co *Cost) float64 {
-	s := ix.snap.Load()
-	cr, ok := s.eng.(engine.CostRunner)
-	if !ok {
-		return ix.Query(u, v)
-	}
-	score, err := cr.QueryCost(u, v, co)
-	if err != nil {
-		return 0
-	}
 	ix.shadow.OfferWith(u, v, score, s.refScore)
 	return score
 }
@@ -537,24 +525,7 @@ func (ix *Index) QueryCost(u, v NodeID, co *Cost) float64 {
 // it never perturbs it. An out-of-range node returns an error wrapping
 // ErrNodeOutOfRange.
 func (ix *Index) ExplainQuery(u, v NodeID) (*Explanation, error) {
-	s := ix.snap.Load()
-	if ex, ok := s.eng.(engine.Explainer); ok {
-		return ex.Explain(u, v)
-	}
-	// A backend without explain support still yields the score and a
-	// degenerate evidence record, so callers can treat /explain as
-	// universally available.
-	score, err := s.eng.Query(u, v)
-	if err != nil {
-		return nil, err
-	}
-	return &Explanation{
-		U: int(u), V: int(v),
-		Backend: s.eng.Name(), Exact: s.eng.Caps().Exact,
-		Score: score, Mean: score, CILow: score, CIHigh: score,
-		CIConfidence: quality.Confidence,
-		SOCacheMode:  "none",
-	}, nil
+	return ix.snap.Load().eng.Explain(u, v)
 }
 
 // Close releases the index's background machinery: the shadow
@@ -598,23 +569,13 @@ func (ix *Index) PlanStrategy(k int) string {
 // collision path when a meet index exists (IndexOptions.MeetIndex), the
 // brute scan otherwise. All strategies return the identical result set.
 // An out-of-range u returns nil.
-func (ix *Index) TopK(u NodeID, k int) []Scored {
-	out, err := ix.snap.Load().eng.TopK(u, k)
-	if err != nil {
-		return nil
-	}
-	return out
-}
+func (ix *Index) TopK(u NodeID, k int) []Scored { return ix.TopKCost(u, k, nil) }
 
 // TopKCost is TopK additionally charging the scan's work to co (see
 // Cost). Results are identical to TopK; a nil co disables the
-// accounting, and a backend without cost support answers plain.
+// accounting.
 func (ix *Index) TopKCost(u NodeID, k int, co *Cost) []Scored {
-	cr, ok := ix.snap.Load().eng.(engine.CostRunner)
-	if !ok {
-		return ix.TopK(u, k)
-	}
-	out, err := cr.TopKCost(u, k, co)
+	out, err := ix.snap.Load().eng.TopK(u, k, co)
 	if err != nil {
 		return nil
 	}
@@ -630,26 +591,7 @@ func (ix *Index) SingleSource(u NodeID) ([]Scored, error) {
 	if !s.eng.Caps().HasSingleSource {
 		return nil, errNoMeetIndex
 	}
-	return s.eng.SingleSource(u)
-}
-
-// TopKSemBounded is TopK forced onto the sem-bounded strategy of Prop
-// 2.5 (sim <= sem): candidates are scanned in descending semantic order
-// with early termination. Results are identical to TopK.
-//
-// Deprecated: strategy choice belongs to the engine — set
-// IndexOptions.AutoPlan and call TopK; the planner picks the sem-bounded
-// scan whenever it wins. This shim remains for callers that want to
-// force the strategy explicitly.
-func (ix *Index) TopKSemBounded(u NodeID, k int) []Scored {
-	if sr, ok := ix.snap.Load().eng.(engine.StrategyRunner); ok {
-		out, err := sr.TopKWithStrategy(u, k, engine.StrategySemBounded)
-		if err != nil {
-			return nil
-		}
-		return out
-	}
-	return ix.TopK(u, k)
+	return s.eng.SingleSource(u, nil)
 }
 
 // BatchQuery evaluates many pairs concurrently over the selected
@@ -678,17 +620,6 @@ func (ix *Index) CacheSummary() CacheSummary {
 		return CacheSummary{}
 	}
 	return s.cache.Summary()
-}
-
-// CacheStats reports the SLING cache's aggregate hit/miss counters
-// (zeros when the cache is disabled).
-//
-// Deprecated: use CacheSummary, which also carries the derived hit
-// ratio — dividing two separately read counters under live traffic
-// skews the ratio.
-func (ix *Index) CacheStats() (hits, misses int64) {
-	s := ix.CacheSummary()
-	return s.Hits, s.Misses
 }
 
 // Snapshot copies every metric the index has recorded — counters,

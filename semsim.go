@@ -32,8 +32,8 @@
 // # Concurrency
 //
 // A built Index is safe for concurrent use: any number of goroutines may
-// share one Index for Query, TopK, TopKSemBounded, SingleSource,
-// BatchQuery and SimRankQuery, including with the SLING cache enabled
+// share one Index for Query, TopK, SingleSource, BatchQuery,
+// ExplainQuery and SimRankQuery, including with the SLING cache enabled
 // (it is sharded with striped locks and atomic statistics). Parallel
 // results are identical to serial ones. Construction (BuildIndex,
 // LoadIndex, BuildTaxonomy, graph building) is single-threaded; treat
@@ -206,8 +206,9 @@ type CacheSummary = mc.CacheSummary
 
 // Cost is a per-query work accumulator (see internal/obs): pass a
 // pointer to Index.QueryCost / Index.TopKCost and the query path counts
-// the walk steps scanned, SO-cache hits/misses, kernel probes, lazy
-// block-cache traffic and pruning events it spent answering. Plain
+// the pairs scored, walk steps scanned, SO-cache hits/misses, kernel
+// probes, lazy block-cache traffic and pruning events it spent
+// answering (the exact, linear and reduced backends count pairs read). Plain
 // field bumps on the caller's struct — zero allocation, no atomics; a
 // nil *Cost disables accounting. The struct is JSON-marshalable as-is
 // (the shape embedded in /explain, the query log and the flight

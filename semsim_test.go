@@ -230,18 +230,7 @@ func TestFacadePersistenceAndBatch(t *testing.T) {
 			t.Fatalf("pair %v: loaded %v != original %v", p, got, orig[i])
 		}
 	}
-	// TopKSemBounded matches TopK on the facade too.
 	a := g.MustNode("a")
-	brute := idx.TopK(a, 3)
-	fast := idx.TopKSemBounded(a, 3)
-	if len(brute) != len(fast) {
-		t.Fatalf("TopKSemBounded length %d vs %d", len(fast), len(brute))
-	}
-	for i := range brute {
-		if brute[i].Score != fast[i].Score {
-			t.Errorf("rank %d: %v vs %v", i, fast[i], brute[i])
-		}
-	}
 	// P-Rank facade smoke.
 	pr, err := PRank(g, PRankOptions{})
 	if err != nil {
