@@ -2,8 +2,8 @@
 # CI gate for the semsim repository. Three tiers, all required:
 #
 #   1. build + vet + full test suite        (functional correctness),
-#      plus the obs/mc/engine suites rerun at -cpu 1,4 so a dependence
-#      on the core count cannot hide behind the runner's CPU count,
+#      plus the whole suite rerun at -cpu 1,4 so a dependence on the
+#      core count cannot hide behind the runner's CPU count,
 #      plus the observability smoke test: starts the semsim serve
 #      debug server, scrapes /metrics and asserts the core series,
 #      then lints a live /metrics scrape with cmd/promlint (the 0.0.4
@@ -11,11 +11,12 @@
 #      cmd/loadgen for ~5s and asserts nonzero throughput, zero 5xx
 #      and a sane p99 (the serving-SLO smoke: burn-rate gauges,
 #      build_info and the profile counters are all in the linted
-#      scrape, and the trace log fills with sampled spans), then the
-#      diagnostics smoke: the flight recorder and heavy-hitters
-#      endpoints are live, the per-query cost histograms observed the
-#      traffic, and `semsim diag` pulls /debug/diag into a bundle whose
-#      flight records join the query log by request ID, and the
+#      scrape, and the query log's wide events carry sampled spans),
+#      then the diagnostics smoke: the flight recorder and
+#      heavy-hitters endpoints are live, the per-query cost histograms
+#      observed the traffic, and `semsim diag` pulls /debug/diag into a
+#      bundle whose flight dump carries sampled spans and whose records
+#      are byte-identical to their query-log lines, and the
 #      capacity smoke: datagen -stream emits a v3 walk file, convert
 #      round-trips it through v2, and serve answers from it demand-paged
 #      (-lazy-walks) under a tiny block-cache budget
@@ -43,8 +44,8 @@ go vet ./...
 echo "==> tier 1: tests"
 go test ./...
 
-echo "==> tier 1: core-count sweep (obs, mc, engine at -cpu 1,4)"
-go test -count=1 -cpu 1,4 ./internal/obs/... ./internal/mc/ ./internal/engine/...
+echo "==> tier 1: core-count sweep (whole suite at -cpu 1,4)"
+go test -count=1 -cpu 1,4 ./...
 
 echo "==> tier 1: serve observability smoke test"
 go test ./cmd/semsim/ -run TestServeSmoke -count=1
@@ -58,8 +59,7 @@ go run ./cmd/datagen -dataset aminer -size 200 -seed 1 -out "$tmpdir/smoke.hin"
 "$tmpdir/semsim" serve -graph "$tmpdir/smoke.hin" -debug-addr 127.0.0.1:0 \
     -nw 40 -t 6 -query-log "$tmpdir/query.ndjson" -query-log-max-bytes 262144 \
     -query-log-max-generations 8 \
-    -slo-latency 250ms -slo-window 1m \
-    -trace-log "$tmpdir/trace.ndjson" -trace-sample 0.1 \
+    -slo-latency 250ms -slo-window 1m -trace-sample 0.1 \
     -profile-p99 2s 2> "$tmpdir/serve.log" &
 serve_pid=$!
 addr=""
@@ -85,7 +85,7 @@ grep -o '"throughput_qps": [0-9.]*' "$tmpdir/loadgen.json" \
 grep -o '"final_epoch": [0-9]*' "$tmpdir/loadgen.json" \
     || { echo "ci: loadgen report missing the mutation epoch"; exit 1; }
 # Re-lint the scrape after real traffic: the burn-rate gauges, the
-# HTTP/trace-log counters and the commit/epoch series are now nonzero
+# HTTP/query-log counters and the commit/epoch series are now nonzero
 # and must still be clean.
 go run ./cmd/promlint -url "http://$addr/metrics"
 # Queries raced an epoch's worth of commits: the epoch gauge moved, no
@@ -118,28 +118,31 @@ for entry in metrics.prom expvar.json flight.ndjson profiles.json slo.json heavy
     [ -s "$tmpdir/diag/$entry" ] \
         || { cat "$tmpdir/diag.log"; echo "ci: diag bundle entry $entry missing or empty"; exit 1; }
 done
-[ -f "$tmpdir/diag/traces.ndjson" ] \
-    || { echo "ci: diag bundle entry traces.ndjson missing"; exit 1; }
+grep -q '"spans":\[' "$tmpdir/diag/flight.ndjson" \
+    || { echo "ci: diag flight.ndjson holds no record with sampled spans"; exit 1; }
 grep -q '"enabled": true' "$tmpdir/diag/slo.json" \
     || { echo "ci: diag slo.json does not reflect the armed SLO tracker"; exit 1; }
-# The bundled flight dump joins to the query log by request ID. The
-# log rotates under traffic, so -query-log-max-generations above must
-# keep enough generations to still hold the earliest request; search
-# every generation.
+# The bundled flight dump joins to the query log by request ID, and the
+# two are views of one record: the flight line must appear verbatim in
+# the log. The log rotates under traffic, so -query-log-max-generations
+# above must keep enough generations to still hold the earliest
+# request; search every generation.
 join_id=$(sed -n 's|.*"endpoint":"/query","request_id":"\(lg-1-[0-9]*\)".*|\1|p' "$tmpdir/diag/flight.ndjson" | head -1)
 [ -n "$join_id" ] || { echo "ci: bundled flight dump holds no loadgen /query record"; exit 1; }
-cat "$tmpdir"/query.ndjson* | grep -q "\"request_id\":\"$join_id\"" \
-    || { echo "ci: flight request $join_id has no query-log line"; exit 1; }
-echo "    diag bundle green (flight/heavy/cost series live, bundle joins to query log)"
+join_line=$(grep "\"request_id\":\"$join_id\"" "$tmpdir/diag/flight.ndjson" | head -1)
+cat "$tmpdir"/query.ndjson* | grep -qxF "$join_line" \
+    || { echo "ci: flight request $join_id has no identical query-log line"; exit 1; }
+echo "    diag bundle green (flight/heavy/cost series live, spans sampled, bundle line = query-log line)"
 
 kill "$serve_pid"
 wait "$serve_pid" 2>/dev/null || true
 serve_pid=""
 [ -f "$tmpdir/query.ndjson" ] || { echo "ci: -query-log file was never created"; exit 1; }
-[ -s "$tmpdir/trace.ndjson" ] || { echo "ci: -trace-log never received a sampled trace"; exit 1; }
+cat "$tmpdir"/query.ndjson* | grep -q '"spans":\[' \
+    || { echo "ci: no query-log wide event carries sampled spans"; exit 1; }
 grep -q "final metrics snapshot" "$tmpdir/serve.log" \
     || { echo "ci: serve shutdown never logged the final snapshot"; exit 1; }
-echo "    loadgen smoke green (report at loadgen.json, traces sampled, final snapshot logged)"
+echo "    loadgen smoke green (report at loadgen.json, spans sampled, final snapshot logged)"
 
 echo "==> tier 1: streaming v3 build + lazy serve smoke"
 # End to end million-node-capacity path at smoke scale: datagen -stream

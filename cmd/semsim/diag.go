@@ -6,8 +6,8 @@ package main
 //	semsim diag -addr 127.0.0.1:6060 -out /tmp/diag
 //
 // It fetches /debug/diag (a tar.gz of every observability surface —
-// metrics exposition, expvar, the flight-recorder dump, retained
-// traces, anomaly-profile index, SLO state, heavy hitters, build
+// metrics exposition, expvar, the flight-recorder dump with its
+// sampled spans, anomaly-profile index, SLO state, heavy hitters, build
 // identity), writes each entry under -out (default semsim-diag-ADDR in
 // the working directory) and prints a per-entry size summary, so "grab
 // me everything off that box" is one command during an incident.

@@ -41,22 +41,30 @@ package main
 // -warmup queries have run; orchestrators and cmd/loadgen gate on the
 // /healthz flip. Every API request is assigned a request ID — taken
 // from an X-Semsim-Request header when the caller sent a well-formed
-// one, generated otherwise — echoed back in the same header and stamped
-// into the wide-event query log and the sampled trace log, so one ID
-// follows a request across process boundaries.
+// one, generated otherwise — and echoed back in the same header, so one
+// ID follows a request across process boundaries.
+//
+// Every API request, error responses and /mutate commits included,
+// yields exactly one wide event, a flight.Record built by the handler
+// and emitted by the wrap middleware: request ID, epoch, strategy,
+// status and error, latency, cost vector, the resolved u/v/k, score or
+// result count, CI width, backend, commit counts, and — for the
+// -trace-sample fraction of requests (default 0.01) — the per-layer
+// spans. The record lands in the always-on flight ring (/debug/flight,
+// bundled by /debug/diag); with -query-log PATH ("-" for stdout) the
+// same record is also appended as one NDJSON line (-query-log-max-bytes
+// adds size-based rotation, keeping -query-log-max-generations rotated
+// files PATH.1..PATH.N). The HTTP histogram, the SLO tracker, the
+// per-request cost histograms and the heavy-hitters sketch are all fed
+// from that record.
 //
 // The estimate-quality layer is on by default: the shadow verifier
 // re-scores 1 in -shadow-rate queries on an exact reference backend
 // (semsim_shadow_* series; 0 disables) and the runtime health collector
 // polls memory/GC/goroutine gauges every -health-interval
-// (semsim_runtime_* series). With -query-log PATH ("-" for stdout)
-// every request emits one structured JSON wide event
-// (-query-log-max-bytes adds size-based rotation, keeping
-// -query-log-max-generations rotated files PATH.1..PATH.N). The
-// serving-SLO layer is opt-in: -slo-latency sets the latency objective
-// threshold and enables the multi-window burn-rate gauges
-// (semsim_slo_*); -trace-log/-trace-sample write exported span traces
-// as NDJSON for the sampled request subset; -profile-p99 arms the
+// (semsim_runtime_* series). The serving-SLO layer is opt-in:
+// -slo-latency sets the latency objective threshold and enables the
+// multi-window burn-rate gauges (semsim_slo_*); -profile-p99 arms the
 // anomaly profiler, which captures a CPU+heap pprof pair into
 // /debug/profiles when the inter-poll p99 crosses the threshold.
 //
@@ -108,10 +116,11 @@ type serveConfig struct {
 	// demand-pages) the walk index from this file instead of sampling at
 	// startup.
 	walksPath string
-	// queryLogPath, when non-empty, streams one JSON wide event per
-	// request to this file ("-" = stdout). queryLogMaxBytes > 0 adds
-	// size-based rotation keeping queryLogMaxGens rotated generations
-	// (PATH.1 newest; 0 or 1 keeps the historical single .1).
+	// queryLogPath, when non-empty, appends each request's flight
+	// record to this file as one JSON line ("-" = stdout).
+	// queryLogMaxBytes > 0 adds size-based rotation keeping
+	// queryLogMaxGens rotated generations (PATH.1 newest; 0 or 1 keeps
+	// the historical single .1).
 	queryLogPath     string
 	queryLogMaxBytes int64
 	queryLogMaxGens  int
@@ -125,11 +134,9 @@ type serveConfig struct {
 	sloLatency   time.Duration
 	sloObjective float64
 	sloWindow    time.Duration
-	// traceLogPath, when non-empty, writes exported span traces for a
-	// sampled fraction of requests ("-" = stdout) at traceSample
-	// (default 0.01).
-	traceLogPath string
-	traceSample  float64
+	// traceSample is the fraction of requests whose per-layer spans are
+	// recorded on their flight record (0 = none).
+	traceSample float64
 	// profileP99 arms the anomaly profiler: when the inter-poll p99 of
 	// semsim_query_seconds exceeds it, a CPU+heap profile pair is
 	// captured (0 = off). Interval/cooldown/ring default to
@@ -176,9 +183,9 @@ func runServe(g *semsim.Graph, sem semsim.Measure, cfg serveConfig, ready chan<-
 	}
 	var handler atomic.Pointer[http.ServeMux]
 	handler.Store(warmingMux())
-	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv := newHTTPServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		handler.Load().ServeHTTP(w, r)
-	})}
+	}))
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(l) }()
 	fail := func(err error) error {
@@ -197,14 +204,14 @@ func runServe(g *semsim.Graph, sem semsim.Measure, cfg serveConfig, ready chan<-
 	}
 	defer idx.Close()
 
-	var qlog *quality.QueryLog
+	var queryLog io.Writer
 	if cfg.queryLogPath != "" {
 		w, closeLog, err := openLogSink(cfg.queryLogPath, cfg.queryLogMaxBytes, cfg.queryLogMaxGens)
 		if err != nil {
 			return fail(err)
 		}
 		defer closeLog()
-		qlog = quality.NewQueryLog(w, reg)
+		queryLog = w
 	}
 	health := quality.StartHealth(reg, cfg.healthInterval)
 	defer health.Stop()
@@ -224,22 +231,6 @@ func runServe(g *semsim.Graph, sem semsim.Measure, cfg serveConfig, ready chan<-
 			LatencyThreshold: cfg.sloLatency,
 			Windows:          []time.Duration{window, 12 * window},
 		}, reg)
-	}
-
-	var tlog *obs.TraceLog
-	var sampler *obs.Sampler
-	if cfg.traceLogPath != "" {
-		w, closeTrace, err := openLogSink(cfg.traceLogPath, 0, 0)
-		if err != nil {
-			return fail(err)
-		}
-		defer closeTrace()
-		tlog = obs.NewTraceLog(w, reg)
-		rate := cfg.traceSample
-		if rate <= 0 {
-			rate = 0.01
-		}
-		sampler = obs.NewSampler(rate, cfg.opts.Seed)
 	}
 
 	watcher := profwatch.Start(profwatch.Config{
@@ -267,7 +258,7 @@ func runServe(g *semsim.Graph, sem semsim.Measure, cfg serveConfig, ready chan<-
 	fmt.Fprint(logw, tr.String())
 
 	reg.PublishExpvar("semsim")
-	so := newServeObs(reg, qlog, tlog, sampler, tracker, watcher)
+	so := newServeObs(reg, queryLog, obs.NewSampler(cfg.traceSample, cfg.opts.Seed), tracker, watcher)
 	handler.Store(newServeMux(idx, so))
 
 	fmt.Fprintf(logw, "semsim: serving on http://%s (backend %s, metrics at /metrics, expvar at /debug/vars, pprof at /debug/pprof/)\n",
@@ -303,6 +294,32 @@ func runServe(g *semsim.Graph, sem semsim.Measure, cfg serveConfig, ready chan<-
 	return shutdownErr
 }
 
+// Connection-lifetime bounds of the serve listener: a client gets
+// readHeaderTimeout to send its headers and readTimeout for the whole
+// request including the body, and an idle keep-alive connection is
+// closed after idleTimeout.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer builds the serve listener's server with bounded
+// connection lifetimes. IdleTimeout is set explicitly because net/http
+// otherwise reuses ReadTimeout for idle keep-alives. WriteTimeout stays
+// unset on purpose: /debug/pprof/profile runs 30 s by default and
+// refuses any duration beyond WriteTimeout, and a /mutate commit on a
+// large graph takes seconds, so any bound tight enough to matter would
+// cut legitimate responses.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // warmingMux is the pre-readiness handler: every route answers 503 so
 // probes, scrapes and eager clients all learn the same thing — the
 // process is alive but the index is not ready to serve.
@@ -319,7 +336,7 @@ func warmingMux() *http.ServeMux {
 	return mux
 }
 
-// openLogSink resolves an NDJSON log destination: "-" streams to
+// openLogSink resolves the query log's destination: "-" streams to
 // stdout, anything else appends to the named file — through a
 // size-rotating writer when maxBytes > 0, keeping maxGens rotated
 // generations (values < 1 mean the historical single .1).
@@ -366,8 +383,9 @@ func registerBuildInfo(reg *semsim.Metrics, idx *semsim.Index) {
 // writeDiagBundle streams the diagnostics tar.gz: one archive holding
 // every observability surface a live incident review needs, captured at
 // a single instant — the Prometheus exposition, expvar state, the
-// flight-recorder dump, the retained trace records, the anomaly-profile
-// ring index, SLO burn rates, heavy hitters and the serving identity.
+// flight-recorder dump (with the sampled requests' spans), the
+// anomaly-profile ring index, SLO burn rates, heavy hitters and the
+// serving identity.
 // Entries are rendered to memory first (tar needs sizes up front); all
 // of them are bounded rings or snapshots, so the bundle stays small.
 func writeDiagBundle(w io.Writer, idx *semsim.Index, so *serveObs) error {
@@ -409,14 +427,6 @@ func writeDiagBundle(w io.Writer, idx *semsim.Index, so *serveObs) error {
 	var fl bytes.Buffer
 	so.flightRing.Dump(&fl)
 
-	var traces bytes.Buffer
-	for _, rec := range so.traceSnapshot() {
-		if line, err := json.Marshal(rec); err == nil {
-			traces.Write(line)
-			traces.WriteByte('\n')
-		}
-	}
-
 	kernel := idx.KernelMode()
 	if kernel == "" {
 		kernel = "none"
@@ -443,7 +453,6 @@ func writeDiagBundle(w io.Writer, idx *semsim.Index, so *serveObs) error {
 		{"metrics.prom", prom.Bytes()},
 		{"expvar.json", ev.Bytes()},
 		{"flight.ndjson", fl.Bytes()},
-		{"traces.ndjson", traces.Bytes()},
 		{"profiles.json", asJSON(map[string]any{"captures": so.watcher.Captures()})},
 		{"slo.json", asJSON(so.slo.Snapshot())},
 		{"heavy.json", asJSON(map[string]any{
@@ -524,32 +533,23 @@ const requestIDHeader = "X-Semsim-Request"
 // is off); the wrap path is nil-safe throughout, per the obs
 // convention.
 type serveObs struct {
-	reg      *semsim.Metrics
-	qlog     *quality.QueryLog
-	tracelog *obs.TraceLog
-	sampler  *obs.Sampler
-	slo      *slo.Tracker
-	watcher  *profwatch.Watcher
+	reg     *semsim.Metrics
+	sampler *obs.Sampler
+	slo     *slo.Tracker
+	watcher *profwatch.Watcher
 
 	httpHist *obs.Histogram
 	reqTotal map[string]*obs.Counter
 
+	// flightRing is the always-on flight recorder holding every
+	// request's wide event (served at /debug/flight, bundled by
+	// /debug/diag, and teed to the query log when one is configured).
 	// costHists turns each request's Cost into the per-request
 	// semsim_query_cost_* histograms; heavy tracks the most expensive
-	// source nodes by cumulative Cost.Work (served at /debug/heavy);
-	// flightRing is the always-on flight recorder (served at
-	// /debug/flight and bundled by /debug/diag).
+	// source nodes by cumulative Cost.Work (served at /debug/heavy).
+	flightRing *flight.Ring
 	costHists  *obs.CostHists
 	heavy      *obs.HeavyHitters
-	flightRing *flight.Ring
-
-	// recentTraces is a small ring of the latest exported trace records
-	// kept in memory for the diagnostics bundle, so traces are available
-	// even when no -trace-log file is configured.
-	traceMu      sync.Mutex
-	recentTraces []obs.TraceRecord
-	traceNext    int
-	traceCount   int
 
 	idBase string
 	idSeq  atomic.Uint64
@@ -563,23 +563,21 @@ const flightRingSize = 4096
 // heavyCapacity bounds the heavy-hitters sketch (distinct tracked keys).
 const heavyCapacity = 64
 
-// recentTraceCap bounds the in-memory trace ring bundled by /debug/diag.
-const recentTraceCap = 256
-
-// newServeObs registers the HTTP-layer series and draws the random
-// request-ID prefix that makes IDs from different processes distinct.
-func newServeObs(reg *semsim.Metrics, qlog *quality.QueryLog, tlog *obs.TraceLog,
-	sampler *obs.Sampler, tracker *slo.Tracker, watcher *profwatch.Watcher) *serveObs {
+// newServeObs registers the HTTP-layer series, builds the flight ring
+// (teed to queryLog when it is non-nil) and draws the random request-ID
+// prefix that makes IDs from different processes distinct.
+func newServeObs(reg *semsim.Metrics, queryLog io.Writer, sampler *obs.Sampler,
+	tracker *slo.Tracker, watcher *profwatch.Watcher) *serveObs {
 	so := &serveObs{
-		reg: reg, qlog: qlog, tracelog: tlog, sampler: sampler,
-		slo: tracker, watcher: watcher,
+		reg: reg, sampler: sampler, slo: tracker, watcher: watcher,
 		httpHist: reg.Histogram("semsim_http_request_seconds",
 			"End-to-end HTTP latency of the query API endpoints.", nil),
 		reqTotal:   map[string]*obs.Counter{},
+		flightRing: flight.New(flightRingSize),
 		costHists:  obs.NewCostHists(reg),
 		heavy:      obs.NewHeavyHitters(heavyCapacity, reg),
-		flightRing: flight.New(flightRingSize),
 	}
+	so.flightRing.SetSink(queryLog, reg)
 	for _, ep := range []string{"/query", "/explain", "/topk", "/mutate"} {
 		so.reqTotal[ep] = reg.Counter(
 			obs.SeriesName("semsim_http_requests_total", "endpoint", ep),
@@ -594,30 +592,18 @@ func newServeObs(reg *semsim.Metrics, qlog *quality.QueryLog, tlog *obs.TraceLog
 	return so
 }
 
-// reqInfo is the per-request context the wrap layer threads through a
-// handler: the effective request ID, the sampled trace (nil when this
-// request is not sampled) and the response status for SLO error
-// classification.
+// reqInfo is the per-request state the wrap layer threads through a
+// handler: the wide event being built, which handlers only fill in, and
+// the sampled trace (nil when this request is not sampled).
 type reqInfo struct {
-	id     string
-	trace  *semsim.Trace
-	status int
-
-	// cost is the request's cost accounting, filled by handlers that run
-	// the query through a costed entry point; costed marks it live (so a
-	// zero-cost request is still observed). costKey is the heavy-hitters
-	// attribution key (the source node name); epoch and strategy annotate
-	// the flight record.
-	cost     semsim.Cost
-	costed   bool
-	costKey  string
-	epoch    uint64
-	strategy string
+	rec   flight.Record
+	trace *semsim.Trace
 }
 
-// fail records the status and writes the shared JSON error shape.
+// fail records the status and message and writes the shared JSON error
+// shape.
 func (ri *reqInfo) fail(w http.ResponseWriter, status int, msg string) {
-	ri.status = status
+	ri.rec.Status, ri.rec.Error = status, msg
 	writeJSONError(w, status, msg)
 }
 
@@ -650,75 +636,45 @@ func sanitizeRequestID(s string) string {
 	return s
 }
 
-// wrap is the request-instrumentation middleware for the API endpoints:
-// assigns and echoes the request ID, samples a trace, measures
-// end-to-end latency into the HTTP histogram and the SLO tracker, and
-// exports the sampled trace once the handler returns. The disabled
-// state costs a few nil checks per request.
+// wrap is the request-instrumentation middleware for the API endpoints
+// and the single emission point of the per-request record: it assigns
+// and echoes the request ID, samples a trace, runs the handler, then
+// stamps latency, error class and spans onto the record, emits it to
+// the flight ring (and query log), and feeds the HTTP histogram, the
+// SLO tracker, the cost histograms and the heavy-hitters sketch from
+// that same record.
 func (so *serveObs) wrap(endpoint string, h func(http.ResponseWriter, *http.Request, *reqInfo)) http.HandlerFunc {
 	ctr := so.reqTotal[endpoint]
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
-		ri := &reqInfo{id: so.requestID(r), status: http.StatusOK}
-		w.Header().Set(requestIDHeader, ri.id)
+		ri := &reqInfo{rec: flight.Record{
+			TimeNS:    t0.UnixNano(),
+			Endpoint:  endpoint,
+			RequestID: so.requestID(r),
+			Status:    http.StatusOK,
+		}}
+		w.Header().Set(requestIDHeader, ri.rec.RequestID)
 		if so.sampler.Sample() {
 			ri.trace = semsim.NewTrace(endpoint)
 		}
 		h(w, r, ri)
+		rec := &ri.rec
 		lat := time.Since(t0)
+		rec.LatencyNS = int64(lat)
+		rec.ErrClass = flight.ClassifyStatus(rec.Status)
+		rec.Spans, rec.DroppedSpans = ri.trace.Export()
+		so.flightRing.Record(*rec)
+
 		ctr.Inc()
 		so.httpHist.ObserveDuration(lat)
-		so.slo.Observe(lat, ri.status >= 500)
-		if ri.costed {
-			so.costHists.Observe(&ri.cost)
-			so.heavy.Observe(ri.costKey, ri.cost.Work())
-		}
-		so.flightRing.Record(flight.Record{
-			TimeNS:    t0.UnixNano(),
-			Endpoint:  endpoint,
-			RequestID: ri.id,
-			Epoch:     ri.epoch,
-			Strategy:  ri.strategy,
-			Status:    ri.status,
-			ErrClass:  flight.ClassifyStatus(ri.status),
-			LatencyNS: int64(lat),
-			Cost:      ri.cost,
-		})
-		if ri.trace != nil {
-			rec := ri.trace.Export()
-			rec.Time = time.Now()
-			rec.RequestID = ri.id
-			so.tracelog.Log(rec)
-			so.keepTrace(rec)
+		so.slo.Observe(lat, rec.Status >= 500)
+		// Only a successful /query, /explain or /topk resolves a source
+		// node and does query work; its name is the heavy-hitters key.
+		if rec.ErrClass == "" && rec.U != "" {
+			so.costHists.Observe(&rec.Cost)
+			so.heavy.Observe(rec.U, rec.Cost.Work())
 		}
 	}
-}
-
-// keepTrace retains rec in the fixed-size in-memory ring the diag bundle
-// reads, independent of whether a trace log file is configured.
-func (so *serveObs) keepTrace(rec obs.TraceRecord) {
-	so.traceMu.Lock()
-	if so.recentTraces == nil {
-		so.recentTraces = make([]obs.TraceRecord, recentTraceCap)
-	}
-	so.recentTraces[so.traceNext] = rec
-	so.traceNext = (so.traceNext + 1) % recentTraceCap
-	if so.traceCount < recentTraceCap {
-		so.traceCount++
-	}
-	so.traceMu.Unlock()
-}
-
-// traceSnapshot copies the retained trace records oldest-first.
-func (so *serveObs) traceSnapshot() []obs.TraceRecord {
-	so.traceMu.Lock()
-	defer so.traceMu.Unlock()
-	out := make([]obs.TraceRecord, 0, so.traceCount)
-	start := so.traceNext - so.traceCount
-	for i := 0; i < so.traceCount; i++ {
-		out = append(out, so.recentTraces[(start+i+recentTraceCap)%recentTraceCap])
-	}
-	return out
 }
 
 // newServeMux mounts the query API and the debug surfaces. Handlers
@@ -727,20 +683,35 @@ func (so *serveObs) traceSnapshot() []obs.TraceRecord {
 // name resolution must see nodes added since startup.
 func newServeMux(idx *semsim.Index, so *serveObs) *http.ServeMux {
 	mux := http.NewServeMux()
-	reg, qlog := so.reg, so.qlog
+	reg := so.reg
 
-	node := func(w http.ResponseWriter, r *http.Request, g *semsim.Graph, param string, ri *reqInfo) (semsim.NodeID, bool) {
-		name := r.URL.Query().Get(param)
-		if name == "" {
+	// node resolves ?param= against g and records the node's name in
+	// *name — the graph's string, not the request's, so the flight ring
+	// never pins the raw query string.
+	node := func(w http.ResponseWriter, r *http.Request, g *semsim.Graph, param string, name *string, ri *reqInfo) (semsim.NodeID, bool) {
+		s := r.URL.Query().Get(param)
+		if s == "" {
 			ri.fail(w, http.StatusBadRequest, "missing ?"+param+"=NODE")
 			return 0, false
 		}
-		id, ok := g.NodeByName(name)
+		id, ok := g.NodeByName(s)
 		if !ok {
-			ri.fail(w, http.StatusNotFound, "unknown node "+name)
+			ri.fail(w, http.StatusNotFound, "unknown node "+s)
 			return 0, false
 		}
+		*name = g.NodeName(id)
 		return id, true
+	}
+	// resolve looks up ?u= (and ?v= when pair is set) inside the
+	// "resolve" span, which is recorded whether or not the lookup fails.
+	resolve := func(w http.ResponseWriter, r *http.Request, ri *reqInfo, pair bool) (u, v semsim.NodeID, ok bool) {
+		sp := ri.trace.Start("resolve")
+		defer sp.End()
+		g := idx.Graph()
+		if u, ok = node(w, r, g, "u", &ri.rec.U, ri); ok && pair {
+			v, ok = node(w, r, g, "v", &ri.rec.V, ri)
+		}
+		return u, v, ok
 	}
 	writeJSON := func(w http.ResponseWriter, v any) {
 		w.Header().Set("Content-Type", "application/json")
@@ -750,88 +721,52 @@ func newServeMux(idx *semsim.Index, so *serveObs) *http.ServeMux {
 	}
 
 	mux.HandleFunc("/query", so.wrap("/query", func(w http.ResponseWriter, r *http.Request, ri *reqInfo) {
-		t0 := time.Now()
-		g := idx.Graph()
-		sp := ri.trace.Start("resolve")
-		u, ok := node(w, r, g, "u", ri)
+		u, v, ok := resolve(w, r, ri, true)
 		if !ok {
 			return
 		}
-		v, ok := node(w, r, g, "v", ri)
-		sp.End()
-		if !ok {
-			return
-		}
-		sp = ri.trace.Start("score")
-		score := idx.QueryCost(u, v, &ri.cost)
+		rec := &ri.rec
+		sp := ri.trace.Start("score")
+		score := idx.QueryCost(u, v, &rec.Cost)
 		semScore := idx.Sem().Sim(u, v)
 		simrank := idx.SimRankQuery(u, v)
 		sp.End()
-		ri.costed, ri.costKey, ri.epoch = true, g.NodeName(u), idx.Epoch()
+		rec.Score, rec.Backend, rec.Epoch = score, idx.Backend(), idx.Epoch()
 		sp = ri.trace.Start("encode")
 		writeJSON(w, map[string]any{
-			"u":       g.NodeName(u),
-			"v":       g.NodeName(v),
+			"u":       rec.U,
+			"v":       rec.V,
 			"sem":     semScore,
 			"semsim":  score,
 			"simrank": simrank,
-			"cost":    &ri.cost,
+			"cost":    &rec.Cost,
 		})
 		sp.End()
-		qlog.Log(quality.QueryEvent{
-			RequestID: ri.id,
-			Endpoint:  "/query", U: g.NodeName(u), V: g.NodeName(v),
-			Status: http.StatusOK, Score: score,
-			LatencySeconds: time.Since(t0).Seconds(),
-			Backend:        idx.Backend(),
-			CacheHitRatio:  idx.CacheSummary().HitRatio,
-			Cost:           &ri.cost,
-		})
 	}))
 
 	mux.HandleFunc("/explain", so.wrap("/explain", func(w http.ResponseWriter, r *http.Request, ri *reqInfo) {
-		t0 := time.Now()
-		g := idx.Graph()
-		sp := ri.trace.Start("resolve")
-		u, ok := node(w, r, g, "u", ri)
+		u, v, ok := resolve(w, r, ri, true)
 		if !ok {
 			return
 		}
-		v, ok := node(w, r, g, "v", ri)
-		sp.End()
-		if !ok {
-			return
-		}
-		sp = ri.trace.Start("explain")
+		sp := ri.trace.Start("explain")
 		ex, err := idx.ExplainQuery(u, v)
 		sp.End()
 		if err != nil {
 			ri.fail(w, errorStatus(err), err.Error())
 			return
 		}
-		ex.UName, ex.VName = g.NodeName(u), g.NodeName(v)
-		ri.cost, ri.costed, ri.costKey, ri.epoch = ex.Cost, true, ex.UName, idx.Epoch()
+		rec := &ri.rec
+		ex.UName, ex.VName = rec.U, rec.V
+		rec.Cost, rec.Score, rec.CIWidth = ex.Cost, ex.Score, ex.CIWidth()
+		rec.Backend, rec.Epoch = ex.Backend, idx.Epoch()
 		sp = ri.trace.Start("encode")
 		writeJSON(w, ex)
 		sp.End()
-		qlog.Log(quality.QueryEvent{
-			RequestID: ri.id,
-			Endpoint:  "/explain", U: ex.UName, V: ex.VName,
-			Status: http.StatusOK, Score: ex.Score,
-			LatencySeconds: time.Since(t0).Seconds(),
-			Backend:        ex.Backend,
-			CIWidth:        ex.CIWidth(),
-			CacheHitRatio:  idx.CacheSummary().HitRatio,
-			Cost:           &ri.cost,
-		})
 	}))
 
 	mux.HandleFunc("/topk", so.wrap("/topk", func(w http.ResponseWriter, r *http.Request, ri *reqInfo) {
-		t0 := time.Now()
-		g := idx.Graph()
-		sp := ri.trace.Start("resolve")
-		u, ok := node(w, r, g, "u", ri)
-		sp.End()
+		u, _, ok := resolve(w, r, ri, false)
 		if !ok {
 			return
 		}
@@ -847,28 +782,20 @@ func newServeMux(idx *semsim.Index, so *serveObs) *http.ServeMux {
 			Node  string  `json:"node"`
 			Score float64 `json:"score"`
 		}
-		sp = ri.trace.Start("topk")
-		results := idx.TopKCost(u, k, &ri.cost)
+		rec := &ri.rec
+		sp := ri.trace.Start("topk")
+		results := idx.TopKCost(u, k, &rec.Cost)
 		sp.End()
-		ri.costed, ri.costKey = true, g.NodeName(u)
-		ri.epoch, ri.strategy = idx.Epoch(), idx.PlanStrategy(k)
+		g := idx.Graph()
+		rec.K, rec.Results, rec.Backend = k, len(results), idx.Backend()
+		rec.Epoch, rec.Strategy = idx.Epoch(), idx.PlanStrategy(k)
 		hits := []hit{}
 		for _, s := range results {
 			hits = append(hits, hit{g.NodeName(s.Node), s.Score})
 		}
 		sp = ri.trace.Start("encode")
-		writeJSON(w, map[string]any{"u": g.NodeName(u), "k": k, "results": hits, "cost": &ri.cost})
+		writeJSON(w, map[string]any{"u": rec.U, "k": k, "results": hits, "cost": &rec.Cost})
 		sp.End()
-		qlog.Log(quality.QueryEvent{
-			RequestID: ri.id,
-			Endpoint:  "/topk", U: g.NodeName(u), K: k,
-			Status: http.StatusOK, Results: len(hits),
-			LatencySeconds: time.Since(t0).Seconds(),
-			Backend:        idx.Backend(),
-			Strategy:       ri.strategy,
-			CacheHitRatio:  idx.CacheSummary().HitRatio,
-			Cost:           &ri.cost,
-		})
 	}))
 
 	// Mutation batches serialize on mutateMu: every request then commits
@@ -880,10 +807,13 @@ func newServeMux(idx *semsim.Index, so *serveObs) *http.ServeMux {
 			ri.fail(w, http.StatusMethodNotAllowed, "POST a JSON mutation batch")
 			return
 		}
+		sp := ri.trace.Start("decode")
 		var req struct {
 			Ops []mutateOp `json:"ops"`
 		}
-		if err := json.NewDecoder(io.LimitReader(r.Body, maxMutateBody)).Decode(&req); err != nil {
+		err := json.NewDecoder(io.LimitReader(r.Body, maxMutateBody)).Decode(&req)
+		sp.End()
+		if err != nil {
 			ri.fail(w, http.StatusBadRequest, "bad mutation batch: "+err.Error())
 			return
 		}
@@ -893,13 +823,13 @@ func newServeMux(idx *semsim.Index, so *serveObs) *http.ServeMux {
 		}
 		mutateMu.Lock()
 		defer mutateMu.Unlock()
-		sp := ri.trace.Start("stage")
+		sp = ri.trace.Start("stage")
 		g := idx.Graph()
 		m := idx.NewMutator()
 		// Names minted by add_node ops resolve for later ops of the same
 		// batch, so a node and its wiring commit together.
 		minted := map[string]semsim.NodeID{}
-		resolve := func(name string) (semsim.NodeID, bool) {
+		lookup := func(name string) (semsim.NodeID, bool) {
 			if id, ok := minted[name]; ok {
 				return id, true
 			}
@@ -908,12 +838,12 @@ func newServeMux(idx *semsim.Index, so *serveObs) *http.ServeMux {
 		for i, op := range req.Ops {
 			switch op.Op {
 			case "add_edge", "remove_edge":
-				u, ok := resolve(op.From)
+				u, ok := lookup(op.From)
 				if !ok {
 					ri.fail(w, http.StatusNotFound, fmt.Sprintf("op %d: unknown node %q", i, op.From))
 					return
 				}
-				v, ok := resolve(op.To)
+				v, ok := lookup(op.To)
 				if !ok {
 					ri.fail(w, http.StatusNotFound, fmt.Sprintf("op %d: unknown node %q", i, op.To))
 					return
@@ -936,7 +866,7 @@ func newServeMux(idx *semsim.Index, so *serveObs) *http.ServeMux {
 					minted[op.Name] = id
 				}
 			case "update_concept_freq":
-				c, ok := resolve(op.Concept)
+				c, ok := lookup(op.Concept)
 				if !ok {
 					ri.fail(w, http.StatusNotFound, fmt.Sprintf("op %d: unknown concept %q", i, op.Concept))
 					return
@@ -959,7 +889,8 @@ func newServeMux(idx *semsim.Index, so *serveObs) *http.ServeMux {
 			ri.fail(w, status, err.Error())
 			return
 		}
-		ri.epoch = st.Epoch
+		ri.rec.Epoch, ri.rec.Ops = st.Epoch, st.Ops
+		ri.rec.ResampledWalks, ri.rec.NewNodes = st.ResampledWalks, st.NewNodes
 		writeJSON(w, map[string]any{
 			"epoch":           st.Epoch,
 			"ops":             st.Ops,

@@ -2,8 +2,9 @@ package main
 
 // Tests for the incident-diagnostics surface: per-request cost
 // accounting in responses and /metrics, the flight recorder at
-// /debug/flight, the heavy-hitters sketch at /debug/heavy, and the
-// one-shot /debug/diag bundle plus its client-side unpack.
+// /debug/flight (one record per request, teed to the query log), the
+// heavy-hitters sketch at /debug/heavy, and the one-shot /debug/diag
+// bundle plus its client-side unpack.
 
 import (
 	"archive/tar"
@@ -18,9 +19,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"semsim"
-	"semsim/internal/obs/quality"
+	"semsim/internal/obs/flight"
 	"semsim/internal/promlint"
 )
 
@@ -170,12 +172,10 @@ func TestServeMetricsCostSeries(t *testing.T) {
 // TestServeDiagBundleRoundTrip: /debug/diag streams a tar.gz whose
 // entries unpack through the diag subcommand's extractor, every
 // required entry is present and non-empty, and the flight dump inside
-// the bundle joins to the query log by request ID.
+// the bundle joins to the query log by request ID, line for line.
 func TestServeDiagBundleRoundTrip(t *testing.T) {
 	var qbuf bytes.Buffer
-	reg := semsim.NewMetrics()
-	qlog := quality.NewQueryLog(&qbuf, reg)
-	mux, _ := newTestMux(t, qlog)
+	mux, _ := newTestMux(t, &qbuf)
 	get(t, mux, "/query?u=ada&v=ben")
 	get(t, mux, "/topk?u=ben&k=2")
 
@@ -191,21 +191,18 @@ func TestServeDiagBundleRoundTrip(t *testing.T) {
 		t.Fatalf("unpackDiag: %v", err)
 	}
 	want := []string{
-		"metrics.prom", "expvar.json", "flight.ndjson", "traces.ndjson",
+		"metrics.prom", "expvar.json", "flight.ndjson",
 		"profiles.json", "slo.json", "heavy.json", "buildinfo.json",
 	}
 	if n != len(want) {
 		t.Fatalf("bundle holds %d entries, want %d (report: %s)", n, len(want), report.String())
 	}
-	// traces.ndjson may legitimately be empty (no sampler configured
-	// here); everything else must carry content.
-	mayBeEmpty := map[string]bool{"traces.ndjson": true}
 	for _, name := range want {
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatalf("bundle entry %s missing: %v", name, err)
 		}
-		if len(data) == 0 && !mayBeEmpty[name] {
+		if len(data) == 0 {
 			t.Errorf("bundle entry %s is empty", name)
 		}
 	}
@@ -234,42 +231,168 @@ func TestServeDiagBundleRoundTrip(t *testing.T) {
 		t.Error("slo.json claims enabled with no tracker configured")
 	}
 
-	// Join check: every flight request ID from a logged endpoint appears
-	// in the query log, so an operator can pivot bundle → log.
-	qids := map[string]bool{}
+	// Join check: the query log and the bundled flight dump are two
+	// views of one record, so every flight line appears verbatim in the
+	// log and an operator can pivot bundle → log by request ID.
+	qlines := map[string]bool{}
 	sc := bufio.NewScanner(bytes.NewReader(qbuf.Bytes()))
 	for sc.Scan() {
-		var ev struct {
-			RequestID string `json:"request_id"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatal(err)
-		}
-		qids[ev.RequestID] = true
+		qlines[sc.Text()] = true
 	}
-	if len(qids) != 2 {
-		t.Fatalf("query log holds %d request IDs, want 2", len(qids))
+	if len(qlines) != 2 {
+		t.Fatalf("query log holds %d lines, want 2", len(qlines))
 	}
 	fdata, _ := os.ReadFile(filepath.Join(dir, "flight.ndjson"))
 	joined := 0
 	sc = bufio.NewScanner(bytes.NewReader(fdata))
 	for sc.Scan() {
-		var r struct {
-			Endpoint  string `json:"endpoint"`
-			RequestID string `json:"request_id"`
+		if !qlines[sc.Text()] {
+			t.Errorf("flight line has no identical query-log line: %s", sc.Text())
 		}
-		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
-			t.Fatal(err)
-		}
-		if r.Endpoint == "/query" || r.Endpoint == "/topk" {
-			if !qids[r.RequestID] {
-				t.Errorf("flight record %s (%s) has no query-log line", r.RequestID, r.Endpoint)
-			}
-			joined++
-		}
+		joined++
 	}
 	if joined != 2 {
 		t.Errorf("flight dump joined %d records to the query log, want 2", joined)
+	}
+}
+
+// TestServeRecordsEveryRequest: failures and commits are wide events
+// too. A 400, a 404 on an over-long node name, a 405 and a committed
+// /mutate each leave exactly one record in the ring and the identical
+// line in the query log, carrying status, the (bounded) error and, for
+// the commit, the published epoch and repair counts.
+func TestServeRecordsEveryRequest(t *testing.T) {
+	var qbuf bytes.Buffer
+	mux, _ := newTestMux(t, &qbuf)
+	long := strings.Repeat("n", 1100)
+	reqs := []struct {
+		method, path, body string
+		status             int
+	}{
+		{"GET", "/query?v=ben", "", http.StatusBadRequest},
+		{"GET", "/query?u=ada&v=" + long, "", http.StatusNotFound},
+		{"GET", "/mutate", "", http.StatusMethodNotAllowed},
+		{"POST", "/mutate", `{"ops": [{"op": "add_edge", "from": "ada", "to": "cho", "label": "co-author"}]}`, http.StatusOK},
+	}
+	for _, rq := range reqs {
+		rr := httptest.NewRecorder()
+		mux.ServeHTTP(rr, httptest.NewRequest(rq.method, rq.path, strings.NewReader(rq.body)))
+		if rr.Code != rq.status {
+			t.Fatalf("%s %s: status %d, want %d: %s", rq.method, rq.path[:min(len(rq.path), 40)], rr.Code, rq.status, rr.Body)
+		}
+	}
+
+	flines := strings.Split(strings.TrimSpace(get(t, mux, "/debug/flight").Body.String()), "\n")
+	qlines := strings.Split(strings.TrimSpace(qbuf.String()), "\n")
+	if len(flines) != len(reqs) || len(qlines) != len(reqs) {
+		t.Fatalf("ring holds %d records and the query log %d lines, want %d each", len(flines), len(qlines), len(reqs))
+	}
+	for i, rq := range reqs {
+		if flines[i] != qlines[i] {
+			t.Errorf("%s %.40s: ring and query log differ:\n%s\n%s", rq.method, rq.path, flines[i], qlines[i])
+		}
+		var rec flight.Record
+		if err := json.Unmarshal([]byte(flines[i]), &rec); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		if rec.Status != rq.status {
+			t.Errorf("record %d status %d, want %d", i, rec.Status, rq.status)
+		}
+		if ok := rq.status == http.StatusOK; ok != (rec.Error == "") || ok != (rec.ErrClass == "") {
+			t.Errorf("record %d: status %d with error %q class %q", i, rec.Status, rec.Error, rec.ErrClass)
+		}
+		if len(rec.Error) > flight.MaxErrorBytes {
+			t.Errorf("record %d error is %d bytes, over the %d bound", i, len(rec.Error), flight.MaxErrorBytes)
+		}
+	}
+	var notFound, commit flight.Record
+	json.Unmarshal([]byte(flines[1]), &notFound)
+	json.Unmarshal([]byte(flines[3]), &commit)
+	if !strings.HasPrefix(notFound.Error, "unknown node nnn") || len(notFound.Error) != flight.MaxErrorBytes {
+		t.Errorf("404 error not cut to %d bytes: %d bytes %.40q", flight.MaxErrorBytes, len(notFound.Error), notFound.Error)
+	}
+	if notFound.U != "ada" || notFound.V != "" {
+		t.Errorf("404 record names = %q/%q, want only the resolved ada", notFound.U, notFound.V)
+	}
+	if commit.Endpoint != "/mutate" || commit.Epoch != 1 || commit.Ops != 1 || commit.ResampledWalks == 0 {
+		t.Errorf("commit record = %+v, want epoch 1, ops 1, resampled walks > 0", commit)
+	}
+}
+
+// TestServeDiagSampledSpans: with -trace-sample 1 and nothing else
+// configured, every request's record in the bundled flight dump carries
+// its per-layer spans.
+func TestServeDiagSampledSpans(t *testing.T) {
+	g, lin := smokeGraph(t)
+	stop := make(chan struct{})
+	cfg := serveConfig{
+		debugAddr: "127.0.0.1:0",
+		opts: semsim.IndexOptions{
+			NumWalks: 40, WalkLength: 6, C: 0.6, Theta: 0.05, Seed: 1,
+		},
+		traceSample: 1,
+		stop:        stop,
+		logw:        io.Discard,
+	}
+	ready := make(chan string, 1)
+	errc := make(chan error, 1)
+	go func() { errc <- runServe(g, lin, cfg, ready) }()
+	var addr string
+	select {
+	case addr = <-ready:
+	case err := <-errc:
+		t.Fatalf("serve exited before binding: %v", err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("serve did not come up within 30s")
+	}
+	defer func() {
+		close(stop)
+		if err := <-errc; err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	base := "http://" + addr
+	paths := []string{"/query?u=ada&v=ben", "/explain?u=ada&v=eve", "/topk?u=cho&k=3", "/query?v=ben"}
+	for _, p := range paths {
+		resp, err := http.Get(base + p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	resp, err := http.Post(base+"/mutate", "application/json",
+		strings.NewReader(`{"ops": [{"op": "add_edge", "from": "ada", "to": "cho", "label": "co-author"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	resp, err = http.Get(base + "/debug/diag")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	_, err = unpackDiag(resp.Body, dir, io.Discard)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("unpackDiag: %v", err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "flight.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(lines) != len(paths)+1 {
+		t.Fatalf("bundled flight dump holds %d records, want %d", len(lines), len(paths)+1)
+	}
+	for _, line := range lines {
+		var rec flight.Record
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatal(err)
+		}
+		if len(rec.Spans) == 0 {
+			t.Errorf("%s record (status %d) has no spans", rec.Endpoint, rec.Status)
+		}
 	}
 }
 

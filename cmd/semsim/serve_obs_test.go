@@ -1,7 +1,8 @@
 package main
 
 // Tests for the serving observability layer: readiness gating, request
-// IDs, the SLO/trace/profile wiring and the new /metrics series.
+// IDs, connection timeouts, the SLO/span-sampling/profile wiring and
+// the new /metrics series.
 
 import (
 	"bytes"
@@ -16,8 +17,7 @@ import (
 	"time"
 
 	"semsim"
-	"semsim/internal/obs"
-	"semsim/internal/obs/quality"
+	"semsim/internal/obs/flight"
 )
 
 // TestHealthzReadiness is the readiness table test: before the swap the
@@ -95,7 +95,7 @@ func TestSanitizeRequestID(t *testing.T) {
 // one otherwise, and stamps the effective ID into the query log.
 func TestRequestIDAssignment(t *testing.T) {
 	var qbuf bytes.Buffer
-	mux, _ := newTestMux(t, quality.NewQueryLog(&qbuf, nil))
+	mux, _ := newTestMux(t, &qbuf)
 
 	do := func(header string) *httptest.ResponseRecorder {
 		t.Helper()
@@ -141,7 +141,7 @@ func TestRequestIDAssignment(t *testing.T) {
 	// The query log carries the effective ID of each request.
 	var ids []string
 	for _, line := range strings.Split(strings.TrimSpace(qbuf.String()), "\n") {
-		var ev quality.QueryEvent
+		var ev flight.Record
 		if err := json.Unmarshal([]byte(line), &ev); err != nil {
 			t.Fatalf("query log line not JSON: %v\n%s", err, line)
 		}
@@ -163,13 +163,31 @@ func TestRequestIDAssignment(t *testing.T) {
 	}
 }
 
+// TestNewHTTPServerTimeouts: the server runServe listens with bounds
+// every connection's header read, request read and keep-alive idle
+// time, and leaves the write side unbounded (see newHTTPServer).
+func TestNewHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != 10*time.Second || srv.ReadTimeout != 30*time.Second || srv.IdleTimeout != 120*time.Second {
+		t.Errorf("timeouts header/read/idle = %v/%v/%v, want 10s/30s/120s",
+			srv.ReadHeaderTimeout, srv.ReadTimeout, srv.IdleTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, want unset", srv.WriteTimeout)
+	}
+	if srv.Handler == nil {
+		t.Error("handler not installed")
+	}
+}
+
 // TestServeObsEndToEnd runs the full serve path with the SLO tracker,
-// trace log and anomaly profiler armed, and asserts the new /metrics
-// series, the trace NDJSON and the /debug/profiles surface.
+// span sampling at rate 1, a query log and the anomaly profiler armed,
+// and asserts the new /metrics series, the sampled spans on the logged
+// wide events and the /debug/profiles surface.
 func TestServeObsEndToEnd(t *testing.T) {
 	g, lin := smokeGraph(t)
 	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "trace.ndjson")
+	logPath := filepath.Join(dir, "query.ndjson")
 	stop := make(chan struct{})
 	var logbuf bytes.Buffer
 	cfg := serveConfig{
@@ -182,7 +200,7 @@ func TestServeObsEndToEnd(t *testing.T) {
 		sloLatency:   50 * time.Millisecond,
 		sloObjective: 0.99,
 		sloWindow:    time.Minute,
-		traceLogPath: tracePath,
+		queryLogPath: logPath,
 		traceSample:  1.0, // trace every request so the assertion is deterministic
 		profileP99:   time.Second,
 		stop:         stop,
@@ -237,7 +255,7 @@ func TestServeObsEndToEnd(t *testing.T) {
 		"semsim_http_request_seconds_count 4",
 		"semsim_profile_captures_total 0",
 		"semsim_profile_p99_threshold_seconds 1",
-		"semsim_tracelog_events_total 4",
+		"semsim_querylog_events_total 4",
 	} {
 		if !strings.Contains(metrics, series) {
 			t.Errorf("/metrics missing %s", series)
@@ -275,35 +293,42 @@ func TestServeObsEndToEnd(t *testing.T) {
 		t.Fatal("serve did not shut down")
 	}
 
-	// The trace log holds one record per API request, each with a
-	// request ID and at least one span.
-	data, err := os.ReadFile(tracePath)
+	// The query log holds one wide event per API request, each with a
+	// request ID, a timestamp and its sampled spans.
+	data, err := os.ReadFile(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
 	if len(lines) != 4 {
-		t.Fatalf("trace log has %d records, want 4:\n%s", len(lines), data)
+		t.Fatalf("query log has %d records, want 4:\n%s", len(lines), data)
 	}
 	endpoints := map[string]int{}
 	for _, line := range lines {
-		var rec obs.TraceRecord
+		var rec flight.Record
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("trace record not JSON: %v\n%s", err, line)
+			t.Fatalf("wide event not JSON: %v\n%s", err, line)
 		}
 		if rec.RequestID == "" {
-			t.Errorf("trace record missing request_id: %s", line)
+			t.Errorf("wide event missing request_id: %s", line)
 		}
-		if rec.Time.IsZero() {
-			t.Errorf("trace record missing timestamp: %s", line)
+		if rec.TimeNS == 0 {
+			t.Errorf("wide event missing timestamp: %s", line)
 		}
-		if len(rec.Spans) == 0 {
-			t.Errorf("trace record has no spans: %s", line)
+		if len(rec.Spans) == 0 || rec.Spans[0].Name != "resolve" {
+			t.Errorf("sampled wide event has no resolve span: %s", line)
 		}
-		endpoints[rec.Name]++
+		var spanned time.Duration
+		for _, sp := range rec.Spans {
+			spanned += sp.Duration
+		}
+		if spanned > time.Duration(rec.LatencyNS) {
+			t.Errorf("spans (%v) outlast the request (%v): %s", spanned, time.Duration(rec.LatencyNS), line)
+		}
+		endpoints[rec.Endpoint]++
 	}
 	if endpoints["/query"] != 2 || endpoints["/explain"] != 1 || endpoints["/topk"] != 1 {
-		t.Errorf("trace names by endpoint = %v, want /query:2 /explain:1 /topk:1", endpoints)
+		t.Errorf("wide events by endpoint = %v, want /query:2 /explain:1 /topk:1", endpoints)
 	}
 }
 
@@ -378,7 +403,7 @@ func TestServeQueryLogRotation(t *testing.T) {
 			if line == "" {
 				continue
 			}
-			var ev quality.QueryEvent
+			var ev flight.Record
 			if err := json.Unmarshal([]byte(line), &ev); err != nil {
 				t.Fatalf("%s: bad NDJSON line: %v\n%s", p, err, line)
 			}

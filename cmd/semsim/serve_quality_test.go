@@ -1,8 +1,8 @@
 package main
 
 // Tests for the estimate-quality surface of the serve subcommand:
-// structured JSON errors, the /explain endpoint, and the quality
-// telemetry (shadow verifier, runtime health, query log) in /metrics.
+// structured JSON errors, the /explain endpoint, the query log, and the
+// quality telemetry (shadow verifier, runtime health) in /metrics.
 
 import (
 	"bufio"
@@ -16,12 +16,13 @@ import (
 	"time"
 
 	"semsim"
-	"semsim/internal/obs/quality"
+	"semsim/internal/obs/flight"
 )
 
 // newTestMux builds the real serve mux over a small index, without the
-// listener/shutdown machinery, for direct handler tests.
-func newTestMux(t *testing.T, qlog *quality.QueryLog) (*http.ServeMux, *semsim.Metrics) {
+// listener/shutdown machinery, for direct handler tests. A non-nil
+// queryLog receives every request's wide event as an NDJSON line.
+func newTestMux(t *testing.T, queryLog io.Writer) (*http.ServeMux, *semsim.Metrics) {
 	t.Helper()
 	g, lin := smokeGraph(t)
 	reg := semsim.NewMetrics()
@@ -34,7 +35,7 @@ func newTestMux(t *testing.T, qlog *quality.QueryLog) (*http.ServeMux, *semsim.M
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { idx.Close() })
-	return newServeMux(idx, newServeObs(reg, qlog, nil, nil, nil, nil)), reg
+	return newServeMux(idx, newServeObs(reg, queryLog, nil, nil, nil)), reg
 }
 
 // TestServeErrorShapes: every endpoint rejects bad input with the shared
@@ -125,13 +126,12 @@ func TestServeExplainEndpoint(t *testing.T) {
 }
 
 // TestServeQueryLogEvents: with a query log attached, each served
-// request emits one NDJSON wide event carrying endpoint, status and
-// latency, and /explain events carry the CI width.
+// request emits one NDJSON wide event — its flight record — carrying
+// endpoint, status, latency and the endpoint's own fields: /explain
+// the CI width, /topk k, result count and strategy.
 func TestServeQueryLogEvents(t *testing.T) {
 	var logbuf bytes.Buffer
-	reg0 := semsim.NewMetrics()
-	qlog := quality.NewQueryLog(&logbuf, reg0)
-	mux, _ := newTestMux(t, qlog)
+	mux, reg := newTestMux(t, &logbuf)
 
 	for _, path := range []string{"/query?u=ada&v=ben", "/explain?u=ada&v=eve", "/topk?u=ada&k=3"} {
 		rr := httptest.NewRecorder()
@@ -141,10 +141,10 @@ func TestServeQueryLogEvents(t *testing.T) {
 		}
 	}
 
-	var events []quality.QueryEvent
+	var events []flight.Record
 	sc := bufio.NewScanner(&logbuf)
 	for sc.Scan() {
-		var ev quality.QueryEvent
+		var ev flight.Record
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			t.Fatalf("query log line is not JSON: %v\n%s", err, sc.Text())
 		}
@@ -153,15 +153,21 @@ func TestServeQueryLogEvents(t *testing.T) {
 	if len(events) != 3 {
 		t.Fatalf("query log holds %d events, want 3", len(events))
 	}
-	endpoints := map[string]quality.QueryEvent{}
+	endpoints := map[string]flight.Record{}
 	for _, ev := range events {
 		endpoints[ev.Endpoint] = ev
-		if ev.Status != http.StatusOK {
-			t.Errorf("%s event status %d, want 200", ev.Endpoint, ev.Status)
+		if ev.Status != http.StatusOK || ev.ErrClass != "" || ev.Error != "" {
+			t.Errorf("%s event status %d (%q %q), want 200", ev.Endpoint, ev.Status, ev.ErrClass, ev.Error)
 		}
-		if ev.Time.IsZero() || ev.LatencySeconds < 0 {
-			t.Errorf("%s event missing timing: %+v", ev.Endpoint, ev)
+		if ev.TimeNS == 0 || ev.LatencyNS <= 0 || ev.RequestID == "" || ev.U != "ada" || ev.Backend == "" {
+			t.Errorf("%s event incomplete: %+v", ev.Endpoint, ev)
 		}
+		if ev.Spans != nil {
+			t.Errorf("%s event carries spans without a sampler", ev.Endpoint)
+		}
+	}
+	if ev := endpoints["/query"]; ev.V != "ben" || ev.Score <= 0 || ev.Cost.Pairs != 1 {
+		t.Errorf("/query event incomplete: %+v", ev)
 	}
 	if ev, ok := endpoints["/explain"]; !ok {
 		t.Error("no /explain wide event logged")
@@ -173,7 +179,7 @@ func TestServeQueryLogEvents(t *testing.T) {
 	} else if ev.K != 3 || ev.Results == 0 || ev.Strategy == "" {
 		t.Errorf("/topk event incomplete: %+v", ev)
 	}
-	if n := reg0.Snapshot().Counters["semsim_querylog_events_total"]; n != 3 {
+	if n := reg.Snapshot().Counters["semsim_querylog_events_total"]; n != 3 {
 		t.Errorf("semsim_querylog_events_total = %d, want 3", n)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unicode/utf8"
+	"unsafe"
 
 	"semsim/internal/obs"
 )
@@ -84,9 +86,24 @@ func TestDumpNDJSON(t *testing.T) {
 	}
 }
 
+// TestRecordCutsError: an over-long error is cut to MaxErrorBytes on a
+// rune boundary, into a copy that does not pin the original.
+func TestRecordCutsError(t *testing.T) {
+	r := New(1)
+	long := strings.Repeat("é", MaxErrorBytes)
+	r.Record(Record{Error: long})
+	got := r.Snapshot()[0].Error
+	if len(got) != MaxErrorBytes || !utf8.ValidString(got) || !strings.HasPrefix(long, got) {
+		t.Fatalf("cut error: %d bytes, valid UTF-8 %v", len(got), utf8.ValidString(got))
+	}
+	if unsafe.StringData(got) == unsafe.StringData(long) {
+		t.Fatal("cut error shares the original's memory")
+	}
+}
+
 func TestRecordZeroAllocs(t *testing.T) {
 	rec := Record{Endpoint: "/query", RequestID: "req-alloc", Status: 200,
-		LatencyNS: 1234}
+		LatencyNS: 1234, U: "ada", V: "ben", Backend: "mc", Score: 0.5}
 
 	var off *Ring
 	if n := testing.AllocsPerRun(200, func() { off.Record(rec) }); n != 0 {

@@ -20,12 +20,13 @@
 //   - Health (health.go) polls Go runtime statistics (heap, goroutines,
 //     GC pauses) into obs gauges.
 //
-//   - QueryLog (querylog.go) writes one structured JSON wide event per
-//     served request.
+//   - RotatingFile (rotate.go) is the size-bounded file behind the
+//     query log, the NDJSON sink of the flight recorder's per-request
+//     record (package flight).
 //
-// Everything follows package obs's nil-is-off contract: a nil *Shadow,
-// *Health or *QueryLog ignores all calls, so enabling the layer is a
-// wiring decision and disabling it costs one predictable branch.
+// Everything follows package obs's nil-is-off contract: a nil *Shadow
+// or *Health ignores all calls, so enabling the layer is a wiring
+// decision and disabling it costs one predictable branch.
 package quality
 
 import (
@@ -136,7 +137,7 @@ type Explanation struct {
 }
 
 // CIWidth returns CIHigh - CILow, the headline uncertainty number of
-// the wide-event query log.
+// the per-request wide event.
 func (ex *Explanation) CIWidth() float64 {
 	if ex == nil {
 		return 0

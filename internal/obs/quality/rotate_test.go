@@ -9,9 +9,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"semsim/internal/obs"
+	"semsim/internal/obs/flight"
 )
 
 func TestRotatingFileNoRotationUnderLimit(t *testing.T) {
@@ -191,19 +191,18 @@ func TestRotatingFileResumesExistingSize(t *testing.T) {
 }
 
 // TestQueryLogOverRotatingFile is the integration shape serve uses:
-// the NDJSON query log writing through a rotating sink. Every line in
-// both generations must stay whole and parseable, and the event counter
-// must account for all of them.
+// the flight recorder's query-log sink writing through a rotating file.
+// Every line in both generations must stay whole and parseable, and the
+// event counter must account for all of them.
 func TestQueryLogOverRotatingFile(t *testing.T) {
-	// A fixed timestamp keeps every line the same length, so the
-	// rotation point is deterministic: with maxBytes = 12 lines, 20
-	// events rotate exactly once (12 into .1, 8 into the live file).
-	ev := QueryEvent{
-		Time:     timeFixed(t),
+	// Apart from seq (one digit, then two), every line is the same
+	// length, so a 12-line bound rotates 20 records exactly once.
+	rec := flight.Record{
+		TimeNS:   1786017600123456789,
 		Endpoint: "/query", RequestID: "req-1", U: "a", V: "b",
-		Status: 200, LatencySeconds: 2e-6,
+		Status: 200, LatencyNS: 2000, Seq: 99,
 	}
-	line, err := json.Marshal(ev)
+	line, err := json.Marshal(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,15 +215,19 @@ func TestQueryLogOverRotatingFile(t *testing.T) {
 	}
 	defer rf.Close()
 	reg := obs.NewRegistry()
-	qlog := NewQueryLog(rf, reg)
+	ring := flight.New(4)
+	ring.SetSink(rf, reg)
 	for i := 0; i < 20; i++ {
-		qlog.Log(ev)
+		ring.Record(rec)
 	}
 	if got := reg.Counter("semsim_querylog_events_total", "").Value(); got != 20 {
 		t.Fatalf("events counter = %d, want 20", got)
 	}
 	if got := reg.Counter("semsim_querylog_write_errors_total", "").Value(); got != 0 {
 		t.Fatalf("write errors = %d", got)
+	}
+	if _, err := os.Stat(path + ".2"); err == nil {
+		t.Fatal("20 records rotated more than once")
 	}
 	total := 0
 	for _, p := range []string{path, path + ".1"} {
@@ -234,12 +237,12 @@ func TestQueryLogOverRotatingFile(t *testing.T) {
 		}
 		sc := bufio.NewScanner(f)
 		for sc.Scan() {
-			var ev QueryEvent
-			if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			var got flight.Record
+			if err := json.Unmarshal(sc.Bytes(), &got); err != nil {
 				t.Fatalf("%s: torn line %q: %v", p, sc.Text(), err)
 			}
-			if ev.RequestID != "req-1" {
-				t.Fatalf("%s: request_id lost: %+v", p, ev)
+			if got.RequestID != "req-1" {
+				t.Fatalf("%s: request_id lost: %+v", p, got)
 			}
 			total++
 		}
@@ -250,14 +253,10 @@ func TestQueryLogOverRotatingFile(t *testing.T) {
 	}
 }
 
-func timeFixed(t *testing.T) (ts time.Time) {
-	t.Helper()
-	return time.Date(2026, 8, 7, 12, 0, 0, 123456789, time.UTC)
-}
-
-// TestQueryLogWriteFailureThroughRotation covers the existing
-// write-failure counter path when the rotating sink itself fails:
-// events are dropped and counted, the handler never sees an error.
+// TestQueryLogWriteFailureThroughRotation covers the write-failure
+// counter path when the rotating sink itself fails: lines are dropped
+// and counted, the ring keeps the records, the caller never sees an
+// error.
 func TestQueryLogWriteFailureThroughRotation(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sub", "q.ndjson")
@@ -269,8 +268,9 @@ func TestQueryLogWriteFailureThroughRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	qlog := NewQueryLog(rf, reg)
-	qlog.Log(QueryEvent{Endpoint: "/query", Status: 200})
+	ring := flight.New(4)
+	ring.SetSink(rf, reg)
+	ring.Record(flight.Record{Endpoint: "/query", Status: 200})
 	if got := reg.Counter("semsim_querylog_events_total", "").Value(); got != 1 {
 		t.Fatalf("first event not logged: %d", got)
 	}
@@ -279,9 +279,56 @@ func TestQueryLogWriteFailureThroughRotation(t *testing.T) {
 	if err := os.RemoveAll(filepath.Dir(path)); err != nil {
 		t.Fatal(err)
 	}
-	qlog.Log(QueryEvent{Endpoint: "/query", Status: 200, Error: strings.Repeat("x", 64)})
+	ring.Record(flight.Record{Endpoint: "/query", Status: 200, Error: strings.Repeat("x", 64)})
 	if got := reg.Counter("semsim_querylog_write_errors_total", "").Value(); got == 0 {
 		t.Fatal("write failure was not counted")
 	}
+	if ring.Len() != 2 {
+		t.Fatalf("ring holds %d records, want 2", ring.Len())
+	}
 	rf.Close()
+}
+
+// TestQueryLogRecoversAfterFailedRotation: a rotation whose rename
+// fails drops that one line and keeps the live file open; once the
+// rename can succeed, the next record rotates and lands.
+func TestQueryLogRecoversAfterFailedRotation(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "q.ndjson")
+	rf, err := OpenRotatingFile(path, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rf.Close()
+	reg := obs.NewRegistry()
+	ring := flight.New(4)
+	ring.SetSink(rf, reg)
+	ring.Record(flight.Record{Endpoint: "/query", RequestID: "first"})
+
+	// A non-empty directory at path.1 makes the rotation's rename fail.
+	blocker := filepath.Join(path+".1", "x")
+	if err := os.MkdirAll(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ring.Record(flight.Record{Endpoint: "/query", RequestID: "dropped"})
+	if got := reg.Counter("semsim_querylog_write_errors_total", "").Value(); got != 1 {
+		t.Fatalf("write errors = %d, want 1", got)
+	}
+
+	if err := os.RemoveAll(path + ".1"); err != nil {
+		t.Fatal(err)
+	}
+	ring.Record(flight.Record{Endpoint: "/query", RequestID: "third"})
+	if got := reg.Counter("semsim_querylog_events_total", "").Value(); got != 2 {
+		t.Fatalf("events = %d, want 2", got)
+	}
+	for p, want := range map[string]string{path + ".1": "first", path: "third"} {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec flight.Record
+		if err := json.Unmarshal(b, &rec); err != nil || rec.RequestID != want {
+			t.Errorf("%s holds %q (err %v), want the %q record alone", p, b, err, want)
+		}
+	}
 }

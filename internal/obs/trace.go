@@ -31,7 +31,7 @@ type Trace struct {
 }
 
 // MaxSpansPerTrace caps the spans one Trace records. Spans ended past
-// the cap are counted in TraceRecord.DroppedSpans instead of stored.
+// the cap are counted (see Export) instead of stored.
 const MaxSpansPerTrace = 256
 
 // SpanRecord is one finished span: Start is the offset from the trace's
@@ -97,16 +97,19 @@ func (t *Trace) Time(name string, fn func()) {
 // Spans returns the recorded spans ordered by start offset (a copy; nil
 // on a nil trace).
 func (t *Trace) Spans() []SpanRecord {
-	if t == nil {
-		return nil
-	}
-	spans, _ := t.snapshot()
+	spans, _ := t.Export()
 	return spans
 }
 
-// snapshot copies the recorded spans, sorted by start offset, together
-// with the dropped-span count read under the same lock.
-func (t *Trace) snapshot() ([]SpanRecord, int) {
+// Export freezes the trace into its wire form: a copy of the recorded
+// spans sorted by start offset, and the count of spans dropped past
+// MaxSpansPerTrace, read under the same lock. The trace's name and
+// total duplicate what the caller already knows about the operation,
+// so they are not part of it. Returns (nil, 0) on nil.
+func (t *Trace) Export() ([]SpanRecord, int) {
+	if t == nil {
+		return nil, 0
+	}
 	t.mu.Lock()
 	out := make([]SpanRecord, len(t.rec))
 	copy(out, t.rec)
@@ -114,24 +117,6 @@ func (t *Trace) snapshot() ([]SpanRecord, int) {
 	t.mu.Unlock()
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
 	return out, dropped
-}
-
-// Export freezes the trace into its wire form: name, elapsed total, the
-// recorded spans and the count of spans dropped past MaxSpansPerTrace,
-// ready for json.Marshal or a TraceLog. Wall-clock and request identity
-// are the caller's to stamp (serve knows the request ID; the trace does
-// not). Returns the zero record on nil.
-func (t *Trace) Export() TraceRecord {
-	if t == nil {
-		return TraceRecord{}
-	}
-	spans, dropped := t.snapshot()
-	return TraceRecord{
-		Name:         t.name,
-		Total:        t.Total(),
-		Spans:        spans,
-		DroppedSpans: dropped,
-	}
 }
 
 // Total returns the elapsed time since the trace started (0 on nil).
