@@ -100,6 +100,13 @@ if grep '^semsim_shadow_drift_total{severity="critical"}' "$tmpdir/metrics.after
     | grep -qv ' 0$'; then
     echo "ci: shadow verifier saw critical drift under mutate churn"; exit 1
 fi
+# The drift check is vacuous unless the verifier ran: the default
+# (linear) shadow reference must have verified live queries across the
+# commits, and never failed to score one.
+grep -q '^semsim_shadow_checked_total [1-9]' "$tmpdir/metrics.after" \
+    || { echo "ci: shadow verifier checked no query under mutate churn"; exit 1; }
+grep -q '^semsim_shadow_errors_total 0$' "$tmpdir/metrics.after" \
+    || { echo "ci: shadow reference errored (or never registered) under mutate churn"; exit 1; }
 echo "==> tier 1: diagnostics bundle smoke (/debug/diag + semsim diag round-trip)"
 # Flight recorder: the loadgen traffic above must be in the ring, and
 # its deterministic lg-* request IDs must join back to the query log.

@@ -12,7 +12,7 @@
 //
 // Shared flags: -c decay factor, -theta pruning threshold, -nw walks per
 // node, -t walk length, -sling SO-cache cutoff, -seed, -backend engine
-// backend (mc|reduced|exact|linear), -autoplan adaptive top-k planning. The
+// backend (mc|reduced|linear), -autoplan adaptive top-k planning. The
 // walk index can be persisted across runs with -save-walks FILE /
 // -load-walks FILE; -walk-format picks the on-disk layout (v2 flat, v3
 // compressed blocks — the default), convert re-encodes an existing file
@@ -20,8 +20,9 @@
 // demand-paged through a bounded block cache instead of loading it
 // whole. serve additionally takes -debug-addr (required),
 // -warmup, -shadow-rate/-shadow-backend (sampled shadow verification on
-// an exact reference backend), -query-log/-query-log-max-bytes (the
-// per-request wide event as NDJSON, with optional size rotation),
+// an exact reference backend, linear by default),
+// -query-log/-query-log-max-bytes (the per-request wide event as
+// NDJSON, with optional size rotation),
 // -trace-sample (fraction of wide events carrying per-layer spans),
 // -health-interval (runtime telemetry cadence),
 // -slo-latency/-slo-objective/-slo-window (multi-window burn-rate SLO
@@ -90,7 +91,7 @@ func main() {
 		shadowRate = fs.Int("shadow-rate", 256,
 			"serve: re-score 1 in N queries on an exact reference backend off the hot path (0 disables shadow verification)")
 		shadowBackend = fs.String("shadow-backend", "",
-			"serve: reference backend for shadow verification (exact|reduced|linear; empty picks by graph size)")
+			"serve: reference backend for shadow verification (linear|reduced; empty = linear, which refuses graphs above 4096 nodes)")
 		queryLog = fs.String("query-log", "",
 			"serve: append each request's wide event (its flight record) as a JSON line to this file ('-' = stdout)")
 		queryLogMax = fs.Int64("query-log-max-bytes", 0,

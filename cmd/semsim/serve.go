@@ -60,7 +60,8 @@ package main
 //
 // The estimate-quality layer is on by default: the shadow verifier
 // re-scores 1 in -shadow-rate queries on an exact reference backend
-// (semsim_shadow_* series; 0 disables) and the runtime health collector
+// (-shadow-backend, linear by default; semsim_shadow_* series; 0
+// disables) and the runtime health collector
 // polls memory/GC/goroutine gauges every -health-interval
 // (semsim_runtime_* series). The serving-SLO layer is opt-in:
 // -slo-latency sets the latency objective threshold and enables the

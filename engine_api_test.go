@@ -21,7 +21,7 @@ func TestFacadeBackendSelection(t *testing.T) {
 	}
 
 	names := Backends()
-	for _, want := range []string{"mc", "reduced", "exact"} {
+	for _, want := range []string{"mc", "reduced", "linear"} {
 		found := false
 		for _, n := range names {
 			if n == want {
@@ -36,22 +36,22 @@ func TestFacadeBackendSelection(t *testing.T) {
 	a, b := g.MustNode("a"), g.MustNode("b")
 	base := IndexOptions{NumWalks: 200, WalkLength: 10, Theta: 0.05, Seed: 3}
 
-	// The exact backend serves converged fixpoint scores through the
+	// The linear backend serves converged fixpoint scores through the
 	// same Index facade.
 	opts := base
-	opts.Backend = "exact"
+	opts.Backend = "linear"
 	idx, err := BuildIndex(g, lin, opts)
 	if err != nil {
-		t.Fatalf("BuildIndex exact: %v", err)
+		t.Fatalf("BuildIndex linear: %v", err)
 	}
-	if idx.Backend() != "exact" {
-		t.Errorf("Backend() = %q, want exact", idx.Backend())
+	if idx.Backend() != "linear" {
+		t.Errorf("Backend() = %q, want linear", idx.Backend())
 	}
 	if got, want := idx.Query(a, b), exact.Scores.At(a, b); math.Abs(got-want) > 1e-6 {
-		t.Errorf("exact backend Query = %v, facade Exact = %v", got, want)
+		t.Errorf("linear backend Query = %v, facade Exact = %v", got, want)
 	}
 	if _, err := idx.SingleSource(a); err != nil {
-		t.Errorf("exact backend SingleSource: %v", err)
+		t.Errorf("linear backend SingleSource: %v", err)
 	}
 
 	// The reduced backend is exact for retained pairs; co-authors a,b

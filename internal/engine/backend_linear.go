@@ -13,21 +13,20 @@ func init() {
 	Register("linear", newLinearBackend)
 }
 
-// DefaultMaxLinearNodes caps the graph size the linear backend accepts
-// by default. Like the exact backend it stores an O(n^2) score matrix,
-// and each Gauss-Seidel sweep is O(n^2 d^2); the cap marks where the
-// solve stops fitting an interactive build budget.
+// DefaultMaxLinearNodes caps the graph size the linear backend
+// accepts. It stores an O(n^2) score matrix and each Gauss-Seidel sweep
+// is O(n^2 d^2); the cap marks where the solve stops fitting an
+// interactive build budget.
 const DefaultMaxLinearNodes = 4096
 
-// DefaultLinearSweeps bounds the Gauss-Seidel sweeps when
-// Config.LinearMaxSweeps is zero. With c = 0.6 the residual contracts
-// by roughly c per sweep, so the default residual target is reached in
-// well under half this budget on admissible inputs.
+// DefaultLinearSweeps bounds the Gauss-Seidel sweeps. With c = 0.6 the
+// residual contracts by roughly c per sweep, so the residual target is
+// reached in well under half this budget on admissible inputs.
 const DefaultLinearSweeps = 100
 
-// DefaultLinearResidual is the residual stop criterion when
-// Config.LinearResidual is zero: the sweep loop ends once no score (and
-// no diagonal-correction entry) moved by more than this amount.
+// DefaultLinearResidual is the residual stop criterion: the sweep loop
+// ends once no score (and no diagonal-correction entry) moved by more
+// than this amount.
 const DefaultLinearResidual = 1e-9
 
 // linearBackend answers queries from a linearized SemSim solve in the
@@ -46,14 +45,13 @@ const DefaultLinearResidual = 1e-9
 // under a residual-based stop criterion; queries are then O(1) matrix
 // reads, top-k and single-source one row scan each.
 //
-// Where the exact backend runs two-matrix Jacobi sweeps with an
-// averaged-delta convergence test (core.Iterative), this solver updates
+// Where the reference oracle core.Iterative runs two-matrix Jacobi
+// sweeps with an averaged-delta convergence test, this solver updates
 // in place — each pair immediately sees its neighbors' freshest values
 // — and stops on the max residual. Both iterations are monotone from
 // the identity start and bounded above by sem (Prop 2.5), so they
 // converge to the same minimal fixpoint; the conformance harness
-// asserts the two backends agree within 1e-6 on every graph it
-// generates.
+// asserts the two agree within 1e-6 on every graph it generates.
 type linearBackend struct {
 	scoreTable
 	diag     []float64 // D, the estimated diagonal correction
@@ -62,15 +60,10 @@ type linearBackend struct {
 }
 
 func newLinearBackend(cfg Config) (Backend, error) {
-	limit := cfg.MaxLinearNodes
-	if limit == 0 {
-		limit = DefaultMaxLinearNodes
-	}
 	n := cfg.Graph.NumNodes()
-	if n > limit {
-		return nil, fmt.Errorf("engine: linear backend caps at %d nodes, graph has %d (use the mc or reduced backend)", limit, n)
+	if n > DefaultMaxLinearNodes {
+		return nil, fmt.Errorf("engine: linear backend caps at %d nodes, graph has %d (use the mc or reduced backend)", DefaultMaxLinearNodes, n)
 	}
-	maxSweeps, tol := cfg.fillLinear()
 	g, sem := cfg.Graph, cfg.Sem
 
 	// The coefficient matrix of the linearized system:
@@ -124,7 +117,7 @@ func newLinearBackend(cfg Config) (Backend, error) {
 
 	var sweeps int
 	residual := math.Inf(1)
-	for sweeps < maxSweeps && residual > tol {
+	for sweeps < DefaultLinearSweeps && residual > DefaultLinearResidual {
 		sweeps++
 		residual = linearSweep(g, kappa, S, D)
 	}
@@ -193,9 +186,9 @@ func linearSweep(g *hin.Graph, kappa []float64, S *simmat.Matrix, D []float64) f
 }
 
 // Caps reports the linear backend as exact: the solve runs to a 1e-9
-// residual by default, so returned scores match the fixpoint far
-// inside any tolerance a caller can observe (Sweeps/Residual expose
-// the actual convergence achieved).
+// residual, so returned scores match the fixpoint far inside any
+// tolerance a caller can observe (Sweeps/Residual expose the actual
+// convergence achieved).
 func (b *linearBackend) Caps() Capabilities {
 	return Capabilities{HasSingleSource: true, Exact: true}
 }
@@ -204,7 +197,7 @@ func (b *linearBackend) Caps() Capabilities {
 func (b *linearBackend) Sweeps() int { return b.sweeps }
 
 // Residual reports the max absolute change of the final sweep — the
-// convergence actually achieved against Config.LinearResidual.
+// convergence actually achieved against DefaultLinearResidual.
 func (b *linearBackend) Residual() float64 { return b.residual }
 
 // Diagonal returns a copy of the estimated diagonal correction matrix

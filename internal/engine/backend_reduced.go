@@ -23,6 +23,13 @@ const DefaultReduceTheta = 0.05
 // where theta retains a large pair set.
 const reduceBuildBudget = 2e4
 
+// The fixpoint budget of the reduced solve: at most reduceMaxIterations
+// sweeps, stopping early once the largest change drops below reduceTol.
+const (
+	reduceMaxIterations = 100
+	reduceTol           = 1e-10
+)
+
 // reducedBackend answers queries from the materialized G^2_theta of
 // Section 3, solved to its fixpoint at construction: scores of retained
 // pairs (sem > theta) are exact full-G^2 SemSim values (Theorem 3.5);
@@ -54,8 +61,7 @@ func newReducedBackend(cfg Config) (Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	iters, tol := cfg.fillSolve()
-	if err := red.Solve(iters, tol); err != nil {
+	if err := red.Solve(reduceMaxIterations, reduceTol); err != nil {
 		return nil, err
 	}
 	return &reducedBackend{

@@ -11,7 +11,7 @@ import (
 )
 
 // scoreTable is the query surface shared by the backends that solve
-// every score at construction (exact, linear, reduced): each query
+// every score at construction (linear, reduced): each query
 // shape is a read or a row scan of one per-pair lookup. A backend
 // embeds it and adds its construction, Caps, MemoryBytes and any
 // backend-specific Explain fields. Every lookup charges one Cost.Pairs.

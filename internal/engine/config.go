@@ -48,53 +48,4 @@ type Config struct {
 	// backends that support strategy selection; nil keeps the static
 	// caller-chosen default (meet index if present, else brute scan).
 	Planner *Planner
-
-	// MaxIterations bounds the fixpoint solves of the reduced and
-	// exact backends (default 100).
-	MaxIterations int
-	// Tol is the fixpoint convergence tolerance (default 1e-10).
-	Tol float64
-	// MaxExactNodes caps the graph size the exact backend accepts —
-	// its O(n^2) matrix and O(k n^2 d^2) solve are only for small
-	// graphs (default 4096 nodes).
-	MaxExactNodes int
-
-	// LinearMaxSweeps bounds the Gauss-Seidel sweeps of the linear
-	// backend's linearized solve (default DefaultLinearSweeps).
-	LinearMaxSweeps int
-	// LinearResidual is the linear backend's residual stop criterion:
-	// sweeping ends once no score or diagonal-correction entry moved
-	// by more than this (default DefaultLinearResidual).
-	LinearResidual float64
-	// MaxLinearNodes caps the graph size the linear backend accepts —
-	// like exact it holds an O(n^2) matrix and sweeps in O(n^2 d^2)
-	// (default DefaultMaxLinearNodes).
-	MaxLinearNodes int
-}
-
-// fillSolve defaults the fixpoint-solve knobs shared by the reduced and
-// exact backends.
-func (c *Config) fillSolve() (iters int, tol float64) {
-	iters = c.MaxIterations
-	if iters == 0 {
-		iters = 100
-	}
-	tol = c.Tol
-	if tol == 0 {
-		tol = 1e-10
-	}
-	return iters, tol
-}
-
-// fillLinear defaults the linear backend's sweep/residual budget.
-func (c *Config) fillLinear() (sweeps int, residual float64) {
-	sweeps = c.LinearMaxSweeps
-	if sweeps == 0 {
-		sweeps = DefaultLinearSweeps
-	}
-	residual = c.LinearResidual
-	if residual == 0 {
-		residual = DefaultLinearResidual
-	}
-	return sweeps, residual
 }

@@ -1,12 +1,13 @@
 // Package conformance is the differential test harness every engine
 // backend must pass: one reusable suite, driven from each backend's own
-// test entry point, that checks a registered backend against the exact
-// reference on randomized graphs, taxonomy-backed datasets and
-// hand-verified golden fixtures.
+// test entry point, that checks a registered backend against the
+// iterative fixpoint of Section 2.3 (core.Iterative, the oracle) on
+// randomized graphs, taxonomy-backed datasets and hand-verified golden
+// fixtures.
 //
 // The contract it enforces, per backend:
 //
-//   - pairwise agreement with the exact fixpoint, under a per-backend
+//   - pairwise agreement with the oracle's fixpoint, under a per-backend
 //     tolerance band: exact-capable backends (Caps().Exact) must agree
 //     within ExactTol, except that a pruning backend (Caps().Prunes)
 //     may drop pairs outright (score 0 with sem <= theta, the true
@@ -42,18 +43,21 @@ import (
 	"strings"
 	"testing"
 
+	"semsim/internal/core"
 	"semsim/internal/engine"
 	"semsim/internal/hin"
 	"semsim/internal/obs"
 	"semsim/internal/semantic"
+	"semsim/internal/simmat"
 	"semsim/internal/walk"
 )
 
-// ExactTol is the agreement band between two exact-capable backends.
-// They are independent solvers (Jacobi two-matrix vs in-place
-// Gauss-Seidel vs the reduced pair graph), so bit-identity is not on
-// the table; both run to residuals around 1e-9/1e-10, leaving three
-// orders of magnitude of headroom under this band.
+// ExactTol is the agreement band between an exact-capable backend and
+// the oracle. They are independent solvers (the oracle's two-matrix
+// Jacobi sweeps vs in-place Gauss-Seidel vs the reduced pair graph), so
+// bit-identity is not on the table; all run to residuals around
+// 1e-9/1e-10, leaving three orders of magnitude of headroom under this
+// band.
 const ExactTol = 1e-6
 
 // MCTolerance returns the CLT-derived agreement bands for a Monte-Carlo
@@ -167,12 +171,26 @@ func mustNew(tb testing.TB, name string, cfg engine.Config) engine.Backend {
 	return b
 }
 
+// oracle solves the reference scores every backend is checked against:
+// core.Iterative's parallel Jacobi sweeps of Equation 3, run to a 1e-10
+// averaged delta within 100 iterations.
+func oracle(tb testing.TB, g *hin.Graph, sem semantic.Measure, c float64) *simmat.Matrix {
+	tb.Helper()
+	res, err := core.Iterative(g, sem, core.IterOptions{
+		C: c, MaxIterations: 100, Tol: 1e-10, Parallel: true,
+	})
+	if err != nil {
+		tb.Fatalf("core.Iterative: %v", err)
+	}
+	return res.Scores
+}
+
 // runDataset runs every check of the suite for one backend over one
-// generated dataset, with the exact backend as the reference.
+// generated dataset, with the oracle's fixpoint as the reference.
 func runDataset(t *testing.T, backend string, g *hin.Graph, sem semantic.Measure, opts Options) {
 	cfg := buildConfig(t, g, sem, opts)
 	b := mustNew(t, backend, cfg)
-	ref := mustNew(t, "exact", cfg)
+	ref := oracle(t, g, sem, opts.C)
 
 	t.Run("invariants", func(t *testing.T) { checkInvariants(t, b, g, sem, opts) })
 	t.Run("agreement", func(t *testing.T) { checkAgreement(t, b, ref, g, sem, opts) })
@@ -229,8 +247,8 @@ func checkInvariants(t *testing.T, b engine.Backend, g *hin.Graph, sem semantic.
 }
 
 // checkAgreement is the differential core: every pair's score against
-// the exact reference, inside the backend's tolerance band.
-func checkAgreement(t *testing.T, b, ref engine.Backend, g *hin.Graph, sem semantic.Measure, opts Options) {
+// the oracle's, inside the backend's tolerance band.
+func checkAgreement(t *testing.T, b engine.Backend, ref *simmat.Matrix, g *hin.Graph, sem semantic.Measure, opts Options) {
 	n := g.NumNodes()
 	exact := b.Caps().Exact
 	meanTol, maxTol := MCTolerance(opts.NumWalks)
@@ -238,10 +256,7 @@ func checkAgreement(t *testing.T, b, ref engine.Backend, g *hin.Graph, sem seman
 	pairs := 0
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			r, err := ref.Query(hin.NodeID(u), hin.NodeID(v), nil)
-			if err != nil {
-				t.Fatalf("exact.Query(%d,%d): %v", u, v, err)
-			}
+			r := ref.At(hin.NodeID(u), hin.NodeID(v))
 			s, err := b.Query(hin.NodeID(u), hin.NodeID(v), nil)
 			if err != nil {
 				t.Fatalf("%s.Query(%d,%d): %v", b.Name(), u, v, err)

@@ -14,14 +14,14 @@ import (
 // to match (MCTolerance derives from it).
 const fuzzNumWalks = 400
 
-// fuzzAgreement builds the mc, linear and exact backends over one
-// seed-derived random graph and fails on out-of-tolerance disagreement:
-// linear vs exact within ExactTol, mc vs exact within the CLT band for
-// the fuzz walk budget. The raw fuzz inputs are folded into valid
-// dimensions, so every mutation exercises the solvers instead of the
-// argument validation.
+// fuzzAgreement solves one seed-derived random graph with the oracle
+// and builds the linear and mc backends over it, failing on
+// out-of-tolerance disagreement: linear vs the oracle within ExactTol,
+// mc vs the oracle within the CLT band for the fuzz walk budget. The
+// raw fuzz inputs are folded into valid dimensions, so every mutation
+// exercises the solvers instead of the argument validation.
 func fuzzAgreement(t *testing.T, seed int64, rawN, rawM uint8) {
-	n := 8 + int(rawN)%17   // 8..24 nodes
+	n := 8 + int(rawN)%17    // 8..24 nodes
 	m := n + int(rawM)%(2*n) // n..3n-1 extra edges
 	g := RandomGraph(seed, n, m)
 	sem := RandomMeasure(seed+1000, n, 0.1)
@@ -33,7 +33,7 @@ func fuzzAgreement(t *testing.T, seed int64, rawN, rawM uint8) {
 		Graph: g, Sem: sem, C: 0.6, Theta: 0.05,
 		Walks: ix, Meet: walk.BuildMeetIndex(ix),
 	}
-	ex := mustNew(t, "exact", cfg)
+	ref := oracle(t, g, sem, cfg.C)
 	lin := mustNew(t, "linear", cfg)
 	mc := mustNew(t, "mc", cfg)
 
@@ -42,16 +42,13 @@ func fuzzAgreement(t *testing.T, seed int64, rawN, rawM uint8) {
 	pairs := 0
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			r, err := ex.Query(hin.NodeID(u), hin.NodeID(v), nil)
-			if err != nil {
-				t.Fatalf("exact.Query(%d,%d): %v", u, v, err)
-			}
+			r := ref.At(hin.NodeID(u), hin.NodeID(v))
 			l, err := lin.Query(hin.NodeID(u), hin.NodeID(v), nil)
 			if err != nil {
 				t.Fatalf("linear.Query(%d,%d): %v", u, v, err)
 			}
 			if d := math.Abs(l - r); d > ExactTol {
-				t.Errorf("seed %d n=%d m=%d: linear vs exact differ at (%d,%d): %.9f vs %.9f",
+				t.Errorf("seed %d n=%d m=%d: linear vs oracle differ at (%d,%d): %.9f vs %.9f",
 					seed, n, m, u, v, l, r)
 			}
 			e, err := mc.Query(hin.NodeID(u), hin.NodeID(v), nil)
@@ -59,7 +56,7 @@ func fuzzAgreement(t *testing.T, seed int64, rawN, rawM uint8) {
 				t.Fatalf("mc.Query(%d,%d): %v", u, v, err)
 			}
 			if e-r > maxTol || r-e > maxTol+0.05 {
-				t.Errorf("seed %d n=%d m=%d: mc vs exact out of band at (%d,%d): %.4f vs %.4f",
+				t.Errorf("seed %d n=%d m=%d: mc vs oracle out of band at (%d,%d): %.4f vs %.4f",
 					seed, n, m, u, v, e, r)
 			}
 			devSum += math.Abs(e - r)
@@ -74,8 +71,9 @@ func fuzzAgreement(t *testing.T, seed int64, rawN, rawM uint8) {
 
 // FuzzBackendAgreement is the differential fuzzer of the engine layer:
 // arbitrary (seed, size, density) triples become random graphs pushed
-// through three independent solvers — the Jacobi fixpoint, the
-// Gauss-Seidel linearization and the Monte-Carlo estimator — which
+// through three independent solvers — the oracle's Jacobi fixpoint
+// (core.Iterative), the Gauss-Seidel linearization (backend "linear")
+// and the Monte-Carlo estimator (backend "mc") — which
 // must agree within their analytical tolerance bands. The seed corpus
 // below runs as plain unit tests on every `go test -run Fuzz`
 // (ci.sh's fuzz tier); open-ended mutation needs -fuzz.

@@ -1,22 +1,21 @@
 // Package engine is the pluggable computation layer behind the public
-// semsim.Index: one Backend interface over four ways of computing the
+// semsim.Index: one Backend interface over three ways of computing the
 // same SemSim scores — the pruned importance-sampling Monte-Carlo
 // estimator of Section 4 (backend "mc"), the materialized G^2_theta
 // reduction of Section 3 (backend "reduced", exact scores for retained
-// pairs), the iterative all-pairs fixpoint of Section 2.3 (backend
-// "exact", small graphs), and the Gauss-Seidel linearized solve in the
-// style of Maehara et al. (backend "linear", exact up to a residual
-// budget, small-to-mid graphs) — plus the adaptive query Planner that
-// picks a top-k execution strategy per query from recorded graph/walk
-// statistics (planner.go).
+// pairs), and the Gauss-Seidel linearized solve in the style of Maehara
+// et al. (backend "linear", exact up to a residual budget, graphs of at
+// most DefaultMaxLinearNodes nodes) — plus the adaptive query Planner
+// that picks a top-k execution strategy per query from recorded
+// graph/walk statistics (planner.go).
 //
 // Every query shape has exactly one entry point on Backend: Query,
 // TopK and SingleSource take an optional *obs.Cost (nil means off),
 // QueryBatch scores many pairs, and Explain returns the score with its
 // evidence. Callers never type-assert for optional interfaces. The mc
 // backend routes TopK through the planner (or its static default);
-// exact, linear and reduced share one implementation of every shape
-// over a per-backend score lookup (scoreTable), keeping only their
+// linear and reduced share one implementation of every shape over a
+// per-backend score lookup (scoreTable), keeping only their
 // construction, capabilities and backend-specific Explain fields.
 //
 // Backends register themselves by name in an init-time registry
@@ -25,12 +24,12 @@
 // touching the public API: semsim.IndexOptions.Backend selects the
 // implementation.
 //
-// All backends are validated against each other by the differential
-// conformance harness (internal/engine/conformance): every registered
-// backend is driven through randomized graph and taxonomy generators,
-// pairwise agreement against the exact reference with per-backend
-// tolerance bands, paper invariants, capability/bounds/cost contracts
-// and hand-verified golden fixtures. A new backend gets the whole suite
+// All backends are validated by the differential conformance harness
+// (internal/engine/conformance): every registered backend is driven
+// through randomized graph and taxonomy generators, pairwise agreement
+// against the iterative fixpoint of Section 2.3 (core.Iterative, the
+// oracle) with per-backend tolerance bands, paper invariants,
+// capability/bounds/cost contracts and hand-verified golden fixtures. A new backend gets the whole suite
 // by registering — conformance discovers backends through Names().
 package engine
 
@@ -51,7 +50,7 @@ import (
 type Capabilities struct {
 	// HasSingleSource reports that SingleSource is supported (the mc
 	// backend needs the inverted meet index for it; the reduced and
-	// exact backends enumerate natively).
+	// linear backends enumerate natively).
 	HasSingleSource bool
 	// Exact reports that returned scores are exact fixpoint values
 	// rather than Monte-Carlo estimates. The reduced backend is exact

@@ -77,7 +77,7 @@ func buildConfig(t testing.TB, g *hin.Graph, sem semantic.Measure) Config {
 
 func TestRegistry(t *testing.T) {
 	names := Names()
-	for _, want := range []string{"mc", "reduced", "exact", "linear"} {
+	for _, want := range []string{"mc", "reduced", "linear"} {
 		found := false
 		for _, n := range names {
 			if n == want {
@@ -139,7 +139,6 @@ func TestCapabilities(t *testing.T) {
 		{"mc", nil, Capabilities{HasSingleSource: true, Exact: false}},
 		{"mc", func(c Config) Config { c.Meet = nil; return c }, Capabilities{}},
 		{"reduced", nil, Capabilities{HasSingleSource: true, Exact: true, Prunes: true}},
-		{"exact", nil, Capabilities{HasSingleSource: true, Exact: true}},
 		{"linear", nil, Capabilities{HasSingleSource: true, Exact: true}},
 	} {
 		c := cfg
@@ -167,7 +166,7 @@ func TestBoundsValidation(t *testing.T) {
 	cfg := buildConfig(t, g, testMeasure(6, 10))
 	bad := []hin.NodeID{-1, hin.NodeID(g.NumNodes()), 1 << 30}
 
-	for _, name := range []string{"mc", "reduced", "exact", "linear"} {
+	for _, name := range []string{"mc", "reduced", "linear"} {
 		b, err := New(name, cfg)
 		if err != nil {
 			t.Fatalf("New(%q): %v", name, err)
@@ -211,15 +210,6 @@ func TestMCSingleSourceRequiresMeet(t *testing.T) {
 	}
 }
 
-func TestExactBackendNodeCap(t *testing.T) {
-	g := testGraph(t, 9, 12, 24)
-	cfg := buildConfig(t, g, testMeasure(10, 12))
-	cfg.MaxExactNodes = 8
-	if _, err := New("exact", cfg); err == nil {
-		t.Error("exact backend accepted a graph above MaxExactNodes")
-	}
-}
-
 func TestPlannerDecisions(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -248,10 +238,7 @@ func TestPlannerDecisions(t *testing.T) {
 		// matter what LinearSolved claims: fall through to the usual
 		// large-graph choice.
 		{"linear above cap", Stats{Nodes: 5000, NumWalks: 100, WalkLength: 10,
-			LinearSolved: true, LinearMaxNodes: 4096}, StrategySemBounded},
-		// An explicit budget below the default is honored.
-		{"linear above custom cap", Stats{Nodes: 100, NumWalks: 100, WalkLength: 10,
-			LinearSolved: true, LinearMaxNodes: 64}, StrategyBrute},
+			LinearSolved: true}, StrategySemBounded},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -289,7 +276,7 @@ func TestPlannerSingleSource(t *testing.T) {
 		{"linear solved", Stats{Nodes: 500, NumWalks: 100, WalkLength: 10,
 			HasMeet: true, MeetEntries: 5000, LinearSolved: true}, StrategyLinear},
 		{"linear above cap", Stats{Nodes: 5000, NumWalks: 100, WalkLength: 10,
-			HasMeet: true, MeetEntries: 5000, LinearSolved: true, LinearMaxNodes: 4096},
+			HasMeet: true, MeetEntries: 5000, LinearSolved: true},
 			StrategyCollision},
 		{"meet only", Stats{Nodes: 500, NumWalks: 100, WalkLength: 10,
 			HasMeet: true, MeetEntries: 5000}, StrategyCollision},

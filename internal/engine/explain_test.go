@@ -14,7 +14,7 @@ func TestExplainerAllBackends(t *testing.T) {
 	n := 14
 	g := testGraph(t, 71, n, 42)
 	cfg := buildConfig(t, g, testMeasure(72, n))
-	for _, name := range []string{"mc", "reduced", "exact"} {
+	for _, name := range []string{"mc", "reduced", "linear"} {
 		b, err := New(name, cfg)
 		if err != nil {
 			t.Fatalf("New(%q): %v", name, err)
@@ -59,7 +59,7 @@ func TestExplainBoundsError(t *testing.T) {
 	bad := []struct{ u, v hin.NodeID }{
 		{hin.NodeID(n), 0}, {0, hin.NodeID(n)}, {-1, 0}, {0, -1},
 	}
-	for _, name := range []string{"mc", "reduced", "exact"} {
+	for _, name := range []string{"mc", "reduced", "linear"} {
 		b, err := New(name, cfg)
 		if err != nil {
 			t.Fatalf("New(%q): %v", name, err)
@@ -156,9 +156,9 @@ func TestExplainCIContainsExactScore(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New(mc): %v", err)
 		}
-		exb, err := New("exact", cfg)
+		exb, err := New("linear", cfg)
 		if err != nil {
-			t.Fatalf("New(exact): %v", err)
+			t.Fatalf("New(linear): %v", err)
 		}
 		for u := 0; u < n; u++ {
 			for v := u + 1; v < n; v++ {

@@ -31,8 +31,8 @@ const (
 	// StrategyLinear reads the linear backend's converged linearized
 	// solve: every query shape is a row scan over the solved matrix.
 	// Available only when the serving backend holds such a solve
-	// (Stats.LinearSolved) and the graph fits the solve's node budget;
-	// it then dominates every sampling strategy on cost.
+	// (Stats.LinearSolved); it then dominates every sampling strategy
+	// on cost.
 	StrategyLinear
 
 	numStrategies
@@ -81,13 +81,9 @@ type Stats struct {
 	// LinearSolved reports that the serving backend holds a converged
 	// linearized solve (backend "linear"): queries are matrix reads,
 	// so the planner routes to StrategyLinear whenever the graph fits
-	// the solve budget.
+	// DefaultMaxLinearNodes. The linear backend refuses larger graphs,
+	// so the node check only matters for hand-built Stats.
 	LinearSolved bool
-	// LinearMaxNodes is the node cap the linearized solve was budgeted
-	// for (0 means DefaultMaxLinearNodes). Above it the iteration
-	// budget no longer amortizes and the planner must never pick the
-	// linear strategy, even if LinearSolved is set.
-	LinearMaxNodes int
 }
 
 // CollectStats records the planner inputs for one built index. meet may
@@ -172,21 +168,13 @@ func (p *Planner) SingleSourceStrategy() Strategy {
 
 func (p *Planner) pickSingleSource() Strategy {
 	st := p.stats
-	if st.LinearSolved && st.Nodes <= st.linearCap() {
+	if st.LinearSolved && st.Nodes <= DefaultMaxLinearNodes {
 		return StrategyLinear
 	}
 	if st.HasMeet {
 		return StrategyCollision
 	}
 	return StrategyBrute
-}
-
-// linearCap is the node budget of the linearized solve.
-func (st Stats) linearCap() int {
-	if st.LinearMaxNodes > 0 {
-		return st.LinearMaxNodes
-	}
-	return DefaultMaxLinearNodes
 }
 
 // pick applies the cost model. A converged linearized solve beats
@@ -206,7 +194,7 @@ func (st Stats) linearCap() int {
 //     overhead floor.
 func (p *Planner) pick() Strategy {
 	st := p.stats
-	if st.LinearSolved && st.Nodes <= st.linearCap() {
+	if st.LinearSolved && st.Nodes <= DefaultMaxLinearNodes {
 		return StrategyLinear
 	}
 	if st.HasMeet && st.Nodes > 0 {

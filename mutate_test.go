@@ -158,17 +158,17 @@ func itoa(v int) string {
 }
 
 // conformanceCheck compares the mutated index against a from-scratch
-// exact fixpoint on the same graph and measure over sampled pairs.
-// idx.Sem() hands the exact solver the index's semantic kernel, whose
+// linear solve on the same graph and measure over sampled pairs.
+// idx.Sem() hands the solver the index's semantic kernel, whose
 // values the kernel-refresh property tests pin bit-identical to fresh.
 func conformanceCheck(t *testing.T, idx *semsim.Index, rng *rand.Rand, nw, pairs int, tag string) {
 	t.Helper()
 	ref, err := semsim.BuildIndex(idx.Graph(), idx.Sem(), semsim.IndexOptions{
 		NumWalks: 4, WalkLength: 2, C: 0.6, Theta: 0,
-		Seed: 1, Backend: "exact", SemanticKernel: "off",
+		Seed: 1, Backend: "linear", SemanticKernel: "off",
 	})
 	if err != nil {
-		t.Fatalf("%s: exact reference build: %v", tag, err)
+		t.Fatalf("%s: linear reference build: %v", tag, err)
 	}
 	meanTol, maxTol := conformance.MCTolerance(nw)
 	n := idx.Graph().NumNodes()

@@ -2,6 +2,8 @@ package semsim
 
 import (
 	"errors"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -11,7 +13,7 @@ import (
 func TestExplainQueryBitIdentity(t *testing.T) {
 	g, tax := buildSample(t)
 	lin := NewLin(tax)
-	for _, backend := range []string{"mc", "reduced", "exact"} {
+	for _, backend := range []string{"mc", "reduced", "linear"} {
 		idx, err := BuildIndex(g, lin, IndexOptions{
 			NumWalks: 80, WalkLength: 8, Theta: 0.05, SLINGCutoff: 0.1,
 			Seed: 1, Backend: backend,
@@ -77,7 +79,7 @@ func TestExplainQueryEvidence(t *testing.T) {
 }
 
 // TestShadowEndToEnd: with ShadowRate 1 every query is re-verified on
-// the exact backend; on a graph this small the estimate errors stay
+// the default linear reference; on a graph this small the estimate errors stay
 // inside the theta envelope, so no critical drift fires.
 func TestShadowEndToEnd(t *testing.T) {
 	g, tax := buildSample(t)
@@ -123,24 +125,31 @@ func TestShadowEndToEnd(t *testing.T) {
 	}
 }
 
-// TestShadowBackendSelection: an exact-capable index backend is reused
-// as its own shadow reference (no second build), while the default mc
-// backend forces a reference build.
+// TestShadowBackendSelection: the default shadow reference is "linear",
+// so a linear index is reused as its own reference (no second build, no
+// shadow-backend span), while the default mc backend forces a
+// reference build.
 func TestShadowBackendSelection(t *testing.T) {
 	g, tax := buildSample(t)
 	lin := NewLin(tax)
 
 	reg := NewMetrics()
+	tr := NewTrace("build")
 	idx, err := BuildIndex(g, lin, IndexOptions{
 		NumWalks: 50, WalkLength: 8, Seed: 4,
-		Backend: "exact", Metrics: reg, ShadowRate: 1,
+		Backend: "linear", Metrics: reg, Trace: tr, ShadowRate: 1,
 	})
 	if err != nil {
-		t.Fatalf("BuildIndex(exact): %v", err)
+		t.Fatalf("BuildIndex(linear): %v", err)
 	}
 	defer idx.Close()
 	if h := reg.Snapshot().Histograms["semsim_build_shadow_backend_seconds"]; h.Count != 0 {
-		t.Errorf("exact index built a redundant shadow reference (%d builds)", h.Count)
+		t.Errorf("linear index built a redundant shadow reference (%d builds)", h.Count)
+	}
+	for _, sp := range tr.Spans() {
+		if sp.Name == "shadow-backend" {
+			t.Errorf("linear index built a second reference (span %+v)", sp)
+		}
 	}
 
 	reg2 := NewMetrics()
@@ -154,6 +163,40 @@ func TestShadowBackendSelection(t *testing.T) {
 	defer idx2.Close()
 	if h := reg2.Snapshot().Histograms["semsim_build_shadow_backend_seconds"]; h.Count != 1 {
 		t.Errorf("mc index recorded %d shadow reference builds, want 1", h.Count)
+	}
+}
+
+// TestShadowDefaultFailsAboveCap: above the linear backend's node cap
+// the default shadow reference cannot be built, and BuildIndex says so
+// at once, naming both ways out, instead of falling back to a reference
+// that may take minutes to build.
+func TestShadowDefaultFailsAboveCap(t *testing.T) {
+	b := NewGraphBuilder()
+	const n = 4097
+	for i := 0; i < n; i++ {
+		b.AddNode("n"+strconv.Itoa(i), "t")
+	}
+	for i := 0; i < n; i++ {
+		b.AddEdge(NodeID(i), NodeID((i+1)%n), "e", 1)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	start := time.Now()
+	_, err = BuildIndex(g, UniformMeasure(), IndexOptions{
+		NumWalks: 1, WalkLength: 4, Seed: 1, SemanticKernel: "off", ShadowRate: 1,
+	})
+	if err == nil {
+		t.Fatal("BuildIndex built a default shadow reference above the linear cap")
+	}
+	for _, want := range []string{"caps at 4096", "-shadow-rate 0", "-shadow-backend reduced"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Errorf("failing the default shadow took %v", d)
 	}
 }
 

@@ -112,31 +112,16 @@ type IndexOptions struct {
 	//     graphs;
 	//   - "reduced": the materialized G^2_theta of Section 3 — exact
 	//     scores for retained pairs (sem > Theta), 0 for dropped ones;
-	//   - "exact": the iterative all-pairs fixpoint of Section 2.3 —
-	//     exact everywhere, small graphs only (it refuses graphs
-	//     beyond a few thousand nodes);
 	//   - "linear": the linearized Gauss-Seidel solve (Maehara et
 	//     al.'s diagonal-correction formulation folded with the
-	//     semantic factor) — exact to solver tolerance, typically
-	//     converging in far fewer sweeps than "exact" needs
-	//     iterations, same node cap. Convergence knobs:
-	//     LinearMaxSweeps / LinearResidual / MaxLinearNodes.
+	//     semantic factor) — exact to solver tolerance (1e-9
+	//     residual), small graphs only: it refuses graphs above 4096
+	//     nodes.
 	//
 	// The walk index (and with it SaveWalks/SimRankQuery) is built for
 	// every backend; non-mc backends additionally build and query
 	// their own structure. Unknown names fail BuildIndex.
 	Backend string
-	// LinearMaxSweeps caps the Gauss-Seidel sweeps of the "linear"
-	// backend's solve (0 uses the engine default, 100). The solve
-	// stops earlier once the residual budget is met.
-	LinearMaxSweeps int
-	// LinearResidual is the "linear" backend's convergence target:
-	// the solve stops once the largest per-sweep score change drops
-	// to or below it (0 uses the engine default, 1e-9).
-	LinearResidual float64
-	// MaxLinearNodes caps the graph size the "linear" backend accepts
-	// (0 uses the engine default, 4096); its solve state is O(n^2).
-	MaxLinearNodes int
 	// AutoPlan attaches the adaptive query planner: each TopK call
 	// picks its execution strategy (collision-driven, sem-bounded or
 	// brute scan) from graph/walk statistics recorded at build time,
@@ -158,12 +143,14 @@ type IndexOptions struct {
 	// is 256 (one query in 256).
 	ShadowRate int
 	// ShadowBackend names the reference backend the verifier re-scores
-	// on ("exact", "reduced" or "linear"). It must be exact-capable —
-	// a sampling reference would report its own noise as drift — and
-	// BuildIndex rejects one that is not. Empty picks "exact" when the
-	// graph fits its node cap and "reduced" otherwise. If the index's
-	// own backend already has that name (and is exact), it is reused
-	// instead of building a second copy.
+	// on ("linear" or "reduced"). It must be exact-capable — a
+	// sampling reference would report its own noise as drift — and
+	// BuildIndex rejects one that is not. Empty picks "linear", which
+	// refuses graphs above 4096 nodes: there BuildIndex (or a Commit
+	// that grows the graph past the cap) fails, and the caller either
+	// turns shadowing off (ShadowRate 0) or names "reduced" explicitly. If the index's own backend already has
+	// that name (and is exact), it is reused instead of building a
+	// second copy.
 	ShadowBackend string
 	// ShadowQueue bounds the verifier's pending-sample queue (0 uses
 	// the default, 256). A full queue drops samples, counted in
@@ -179,7 +166,7 @@ func Backends() []string { return engine.Names() }
 // pluggable engine backend (IndexOptions.Backend): by default the
 // Monte-Carlo estimator of Section 4 — O(n_w * t * d^2) average query
 // time, O(n_w * t) with the SLING cache — optionally the exact reduced
-// or iterative backends. Query routing can further be left to the
+// or linear backends. Query routing can further be left to the
 // adaptive planner (IndexOptions.AutoPlan).
 //
 // An Index is safe for concurrent use: any number of goroutines may call
@@ -383,19 +370,16 @@ func (snap *snapshot) finish(opts IndexOptions) error {
 		// The linear strategy is only routable when the backend that
 		// owns the solved score matrix is the one answering queries.
 		st.LinearSolved = opts.Backend == "linear"
-		st.LinearMaxNodes = opts.MaxLinearNodes
 		snap.planner = engine.NewPlanner(st, opts.Metrics)
 	}
 	backendLat := opts.Metrics.Histogram("semsim_build_backend_seconds",
-		"wall time of the engine-backend construction (fixpoint solves for reduced/exact)", nil)
+		"wall time of the engine-backend construction (fixpoint solves for reduced/linear)", nil)
 	sp := opts.Trace.Start("engine-backend")
 	tb := backendLat.Start()
 	eng, err := engine.New(opts.Backend, engine.Config{
 		Graph: snap.g, Sem: snap.sem, C: opts.C, Theta: opts.Theta,
 		Estimator: snap.est, Walks: snap.walks, Meet: snap.meet, Cache: snap.cache,
 		Workers: opts.Workers, Metrics: opts.Metrics, Planner: snap.planner,
-		LinearMaxSweeps: opts.LinearMaxSweeps, LinearResidual: opts.LinearResidual,
-		MaxLinearNodes: opts.MaxLinearNodes,
 	})
 	backendLat.ObserveSince(tb)
 	sp.End()
@@ -416,10 +400,7 @@ func (snap *snapshot) finish(opts IndexOptions) error {
 func (snap *snapshot) buildShadowRef(opts IndexOptions) error {
 	name := opts.ShadowBackend
 	if name == "" {
-		name = "exact"
-		if snap.g.NumNodes() > engine.DefaultMaxExactNodes {
-			name = "reduced"
-		}
+		name = "linear"
 	}
 	ref := snap.eng
 	if ref.Name() != name || !ref.Caps().Exact {
@@ -431,13 +412,14 @@ func (snap *snapshot) buildShadowRef(opts IndexOptions) error {
 		ref, err = engine.New(name, engine.Config{
 			Graph: snap.g, Sem: snap.sem, C: opts.C, Theta: opts.Theta,
 			Estimator: snap.est, Walks: snap.walks, Meet: snap.meet, Cache: snap.cache,
-			Workers:         opts.Workers,
-			LinearMaxSweeps: opts.LinearMaxSweeps, LinearResidual: opts.LinearResidual,
-			MaxLinearNodes: opts.MaxLinearNodes,
+			Workers: opts.Workers,
 		})
 		shadowLat.ObserveSince(ts)
 		sp.End()
 		if err != nil {
+			if opts.ShadowBackend == "" {
+				return fmt.Errorf("semsim: default shadow reference: %w (disable shadowing with ShadowRate 0 / -shadow-rate 0, or name ShadowBackend \"reduced\" / -shadow-backend reduced)", err)
+			}
 			return err
 		}
 	}
@@ -501,8 +483,8 @@ func (ix *Index) Query(u, v NodeID) float64 { return ix.QueryCost(u, v, nil) }
 
 // QueryCost is Query additionally charging the work performed to co
 // (see Cost): on the mc backend walk steps scanned, SO-cache
-// hits/misses, kernel probes and lazy walk-block decodes; on the exact,
-// linear and reduced backends one pair per score read. Scores are
+// hits/misses, kernel probes and lazy walk-block decodes; on the linear
+// and reduced backends one pair per score read. Scores are
 // bit-identical to Query, and a nil co disables the accounting.
 func (ix *Index) QueryCost(u, v NodeID, co *Cost) float64 {
 	s := ix.snap.Load()
@@ -584,7 +566,7 @@ func (ix *Index) TopKCost(u NodeID, k int, co *Cost) []Scored {
 
 // SingleSource estimates sim(u, v) for every v with a nonzero estimate
 // (ascending node order, zeros omitted). The default mc backend requires
-// IndexOptions.MeetIndex; the reduced and exact backends enumerate
+// IndexOptions.MeetIndex; the reduced and linear backends enumerate
 // natively.
 func (ix *Index) SingleSource(u NodeID) ([]Scored, error) {
 	s := ix.snap.Load()
@@ -779,7 +761,7 @@ func OpenIndexFile(path string, g *Graph, sem Measure, opts IndexOptions) (*Inde
 // MemoryBytes reports the walk-index storage plus the SLING cache and
 // meet index, the quantities of the paper's preprocessing report. A
 // non-mc backend additionally reports its own prepared structure (the
-// reduced pair graph, the exact score matrix).
+// reduced pair graph, the linear score matrix).
 func (ix *Index) MemoryBytes() int64 {
 	s := ix.snap.Load()
 	m := s.walks.MemoryBytes()

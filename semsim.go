@@ -208,7 +208,7 @@ type CacheSummary = mc.CacheSummary
 // pointer to Index.QueryCost / Index.TopKCost and the query path counts
 // the pairs scored, walk steps scanned, SO-cache hits/misses, kernel
 // probes, lazy block-cache traffic and pruning events it spent
-// answering (the exact, linear and reduced backends count pairs read). Plain
+// answering (the linear and reduced backends count pairs read). Plain
 // field bumps on the caller's struct — zero allocation, no atomics; a
 // nil *Cost disables accounting. The struct is JSON-marshalable as-is
 // (the shape embedded in /explain, the query log and the flight
